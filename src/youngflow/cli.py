@@ -13,6 +13,7 @@ Boolean options use ``key=true`` / ``key=false``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -27,7 +28,7 @@ from .drivers import (DETERMINISTIC_KINDS, DeterministicSpec, FbmSpec,
                       gen_fbm)
 from .drivers import GENERATOR_VERSION
 from .integrate import YoungConditionError, young_integral
-from .paths import PathError, p_variation, p_variation_norm
+from .paths import PathError, p_variation
 from .pde import (CausticError, GridBox, InversionError,
                   assemble_solution_field, build_char_field, pde_residual)
 from .symmetry import (SampleDomain, check_conserved_algebraic,
@@ -41,8 +42,16 @@ NUMERIC_EXIT = 3
 
 # --------------------------------------------------------- small parsers
 
+def finite(text: str) -> float:
+    """A float that is neither NaN nor infinite; the type of numeric flags."""
+    val = float(text)
+    if not math.isfinite(val):
+        raise PathError(f"{text!r} is not a finite number")
+    return val
+
+
 def _floats(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")])
+    return np.array([finite(v) for v in text.split(",")])
 
 
 def _params(text: str | None) -> dict:
@@ -53,7 +62,7 @@ def _params(text: str | None) -> dict:
         key, sep, val = item.partition("=")
         if not sep:
             raise PathError(f"bad parameter {item!r}, expected key=value")
-        out[key.strip().replace("-", "_")] = float(val)
+        out[key.strip().replace("-", "_")] = finite(val)
     return out
 
 
@@ -63,8 +72,8 @@ def _box(text: str) -> GridBox:
         parts = axis.split(":")
         if len(parts) != 3:
             raise PathError(f"bad box axis {axis!r}, expected lo:hi:count")
-        lows.append(float(parts[0]))
-        highs.append(float(parts[1]))
+        lows.append(finite(parts[0]))
+        highs.append(finite(parts[1]))
         counts.append(int(parts[2]))
     return GridBox(tuple(lows), tuple(highs), tuple(counts))
 
@@ -73,7 +82,7 @@ def _domain(args) -> SampleDomain:
     lo, sep, hi = args.domain.partition(":")
     if not sep:
         raise PathError(f"bad domain {args.domain!r}, expected lo:hi")
-    return SampleDomain(lower=(float(lo),) * args.dim, upper=(float(hi),) * args.dim,
+    return SampleDomain(lower=(finite(lo),) * args.dim, upper=(finite(hi),) * args.dim,
                         count=args.samples, seed=args.domain_seed)
 
 
@@ -111,11 +120,11 @@ def cmd_gen(args) -> int:
             raise PathError("gen fbm needs --seed")
         kwargs = {"hurst": args.hurst, "n_points": args.n, "horizon": args.horizon,
                   "seed": args.seed}
-        if args.max_chol is not None:
-            kwargs["max_cholesky_points"] = args.max_chol
+        if args.max_points is not None:
+            kwargs["max_points"] = args.max_points
         spec = FbmSpec(**kwargs)
         path = gen_fbm(spec)
-        params = {"hurst": spec.hurst, "max_cholesky_points": spec.max_cholesky_points}
+        params = {"hurst": spec.hurst, "max_points": spec.max_points}
         seed = int(spec.seed)
     else:
         vertices = tuple(_floats(args.knots)) if args.knots else ()
@@ -142,11 +151,12 @@ def cmd_gen(args) -> int:
 def cmd_pvar(args) -> int:
     path = yio.read_path_csv(args.path)
     res = p_variation(path, args.p)
+    sup = path.sup_norm()
     _emit({
         "p": args.p,
         "value": res.value,
-        "norm": p_variation_norm(path, args.p),
-        "sup_norm": path.sup_norm(),
+        "norm": res.value + sup,  # p_variation_norm, without a second DP
+        "sup_norm": sup,
         "optimal_partition": [int(i) for i in res.optimal_partition.indices],
         "n_points": path.n_points,
     }, args.out, schema="pvar")
@@ -337,14 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", allow_abbrev=False, help="generate driver paths")
     p.add_argument("kind", choices=("fbm",) + DETERMINISTIC_KINDS)
     p.add_argument("--n", type=int, required=True, help="grid points")
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--hurst", type=float, default=0.75)
+    p.add_argument("--horizon", type=finite, default=1.0)
+    p.add_argument("--hurst", type=finite, default=0.75)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-chol", type=int, default=None,
-                   help="dense Cholesky size cap override")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--frequency", type=float, default=1.0)
+    p.add_argument("--max-points", type=int, default=None,
+                   help="fBm size cap override")
+    p.add_argument("--alpha", type=finite, default=2.0)
+    p.add_argument("--amplitude", type=finite, default=1.0)
+    p.add_argument("--frequency", type=finite, default=1.0)
     p.add_argument("--knots", help="comma-separated polygonal vertices")
     p.add_argument("--meta", help="sidecar metadata JSON")
     _add_common(p, out_required=True, out_help="output CSV")
@@ -352,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pvar", allow_abbrev=False, help="p-variation of a path")
     p.add_argument("--path", required=True, help="input CSV")
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=finite, required=True)
     _add_common(p)
     p.set_defaults(handler=cmd_pvar)
 
@@ -360,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--integrand", required=True, help="Z path CSV")
     p.add_argument("--driver", required=True, help="X path CSV")
     p.add_argument("--tag", default="left", choices=("left", "right", "midpoint-time"))
-    p.add_argument("--interval", type=float, nargs=2, metavar=("S", "T"))
-    p.add_argument("--p", type=float, default=None, help="driver variation exponent")
-    p.add_argument("--q", type=float, default=None, help="integrand variation exponent")
+    p.add_argument("--interval", type=finite, nargs=2, metavar=("S", "T"))
+    p.add_argument("--p", type=finite, default=None, help="driver variation exponent")
+    p.add_argument("--q", type=finite, default=None, help="integrand variation exponent")
     _add_common(p)
     p.set_defaults(handler=cmd_integrate)
 
@@ -409,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="-1:1", help="sample box lo:hi (all axes)")
     p.add_argument("--samples", type=int, default=128)
     p.add_argument("--domain-seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--flow-tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=finite, default=None)
+    p.add_argument("--flow-tol", type=finite, default=1e-6)
     p.add_argument("--flow-times", default="0.5,1.0")
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--tag", default="left", choices=("left", "right", "midpoint-time"))
@@ -429,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--y0", required=True)
     p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--newton-tol", type=float, default=1e-10)
+    p.add_argument("--newton-tol", type=finite, default=1e-10)
     _add_solver_flags(p)
     _add_common(p)
     p.set_defaults(handler=cmd_compose)
@@ -446,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--dim", type=int, default=1)
         q.add_argument("--driver", required=True)
         q.add_argument("--box", required=True, help="seed box lo:hi:count[;...]")
-        q.add_argument("--newton-tol", type=float, default=1e-10)
+        q.add_argument("--newton-tol", type=finite, default=1e-10)
         _add_solver_flags(q)
         if name == "solve":
             q.add_argument("--eval", required=True, help="evaluation box lo:hi:count[;...]")

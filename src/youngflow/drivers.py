@@ -3,26 +3,26 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .paths import PathError, SampledPath
 
 # Bump when the sampling algorithm or RNG contract changes; recorded in
 # generated metadata so stored paths can be traced to the generator.
-GENERATOR_VERSION = "youngflow-gen-1"
+GENERATOR_VERSION = "youngflow-gen-2"
 
-DEFAULT_CHOLESKY_CAP = 2**13
+# 2^20 intervals: the largest dyadic grid generated without an explicit
+# override. Sampling it peaks at a few hundred MB.
+DEFAULT_MAX_POINTS = 2**20 + 1
 
 
 class ResourceError(RuntimeError):
-    """Request exceeds the configured dense-factorization budget."""
+    """Request exceeds the configured size cap."""
 
 
 class GenerationError(RuntimeError):
-    """Numerical failure while sampling (e.g. covariance not factorizable)."""
+    """Numerical failure while sampling (e.g. covariance embedding not PSD)."""
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,14 @@ class FbmSpec:
 
     The path starts at zero on a uniform grid of n_points over
     [0, horizon]. A fixed 64-bit seed makes the sample bitwise
-    reproducible for a given numpy/scipy build.
+    reproducible for a given numpy build.
     """
 
     hurst: float
     n_points: int
     horizon: float = 1.0
     seed: int = 0
-    max_cholesky_points: int = DEFAULT_CHOLESKY_CAP
+    max_points: int = DEFAULT_MAX_POINTS
 
     def __post_init__(self):
         if not 0.5 < self.hurst < 1.0:
@@ -49,6 +49,8 @@ class FbmSpec:
             raise PathError("horizon must be positive")
         if not 0 <= int(self.seed) < 2**64:
             raise PathError("seed must fit in 64 bits")
+        if self.max_points < 2:
+            raise PathError("max_points must be >= 2")
 
 
 def fbm_value_covariance(s: np.ndarray, t: np.ndarray, hurst: float) -> np.ndarray:
@@ -62,6 +64,7 @@ def fbm_increment_covariance(times: np.ndarray, hurst: float) -> np.ndarray:
 
     Second difference of R: Cov(dB_i, dB_j) =
     R(t_{i+1}, t_{j+1}) - R(t_{i+1}, t_j) - R(t_i, t_{j+1}) + R(t_i, t_j).
+    Dense O(n^2); the sampler does not use it, tests compare against it.
     """
     a, b = times[:-1], times[1:]
     return (
@@ -72,35 +75,72 @@ def fbm_increment_covariance(times: np.ndarray, hurst: float) -> np.ndarray:
     )
 
 
-# The factor depends only on (hurst, n_points, horizon), not the seed, so
-# sweeping seeds at a fixed resolution pays the O(n^3) cost once. Entries
-# are O(n^2) memory (128 MB at the default cap), hence the small cache.
-@lru_cache(maxsize=4)
-def _increment_cholesky(hurst: float, n_points: int, horizon: float) -> np.ndarray:
-    times = np.linspace(0.0, horizon, n_points)
-    cov = fbm_increment_covariance(times, hurst)
-    try:
-        return scipy.linalg.cholesky(cov, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise GenerationError(f"increment covariance not factorizable: {exc}") from exc
+def fgn_autocovariance(n_lags: int, hurst: float) -> np.ndarray:
+    """gamma(k), k = 0..n_lags, of unit-step fractional Gaussian noise.
+
+    gamma(k) = (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2, evaluated for k >= 2 as
+    k^2H (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))) / 2. The naive
+    second difference cancels catastrophically at large lags (at H = 0.99
+    and 2^20 lags it turns circulant eigenvalues negative); this form keeps
+    full relative precision. Lag 1 is 2^(2H-1) - 1, apart because
+    log1p(-1) diverges.
+    """
+    h2 = 2.0 * hurst
+    gamma = np.empty(n_lags + 1)
+    gamma[0] = 1.0
+    if n_lags >= 1:
+        gamma[1] = np.expm1((h2 - 1.0) * np.log(2.0))
+    k = np.arange(2, n_lags + 1, dtype=float)
+    gamma[2:] = 0.5 * k**h2 * (np.expm1(h2 * np.log1p(1.0 / k))
+                               + np.expm1(h2 * np.log1p(-1.0 / k)))
+    return gamma
+
+
+def circulant_eigenvalues(acov: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the circulant embedding of a Toeplitz autocovariance.
+
+    The first row is acov[0..m] followed by acov[m-1..1], size 2m. Raises
+    GenerationError if any eigenvalue is negative: the embedding is then
+    not a covariance, and no jitter is added to make it one. For fGn with
+    H in (1/2, 1) the autocovariance is convex and decreasing, so the
+    embedding is nonnegative definite (Craigmile 2003).
+    """
+    row = np.concatenate([acov, acov[-2:0:-1]])
+    lam = np.fft.fft(row).real
+    low = float(lam.min())
+    if low < 0.0:
+        raise GenerationError(
+            f"circulant embedding of size {row.size} is not nonnegative "
+            f"definite (smallest eigenvalue {low:.3g})"
+        )
+    return lam
 
 
 def gen_fbm(spec: FbmSpec) -> SampledPath:
-    """Sample fBm by exact dense Cholesky of the increment covariance.
+    """Sample fBm by exact circulant embedding of its increments.
 
-    No FFT shortcut and no jitter: the factorization either succeeds
-    exactly or fails loudly. Cost is O(n^3) time, O(n^2) memory, hence
-    the hard cap max_cholesky_points.
+    Davies & Harte 1987; Wood & Chan 1994: the increments are fractional
+    Gaussian noise, whose Toeplitz covariance embeds in a circulant one
+    of size 2(n - 1). One FFT gives its eigenvalues, a second one maps
+    complex white noise to a sample whose real part has exactly the
+    Toeplitz covariance. O(n log n) time, O(n) memory; sizes above
+    max_points are refused.
     """
-    if spec.n_points > spec.max_cholesky_points:
+    if spec.n_points > spec.max_points:
         raise ResourceError(
-            f"n_points={spec.n_points} exceeds the dense Cholesky cap "
-            f"{spec.max_cholesky_points}; raise max_cholesky_points explicitly"
+            f"n_points={spec.n_points} exceeds the size cap {spec.max_points}; "
+            f"raise max_points explicitly"
         )
+    n_incr = spec.n_points - 1
+    lam = circulant_eigenvalues(fgn_autocovariance(n_incr, float(spec.hurst)))
+    m = lam.size
+    rng = np.random.default_rng(int(spec.seed))
+    z = rng.standard_normal(2 * m).view(np.complex128)
+    z *= np.sqrt(lam / m)
+    noise = np.fft.fft(z)[:n_incr].real
+    step = spec.horizon / n_incr
     times = np.linspace(0.0, spec.horizon, spec.n_points)
-    lower = _increment_cholesky(float(spec.hurst), int(spec.n_points), float(spec.horizon))
-    z = np.random.default_rng(int(spec.seed)).standard_normal(spec.n_points - 1)
-    values = np.concatenate([[0.0], np.cumsum(lower @ z)])
+    values = np.concatenate([[0.0], np.cumsum(noise * step**spec.hurst)])
     return SampledPath(times, values)
 
 

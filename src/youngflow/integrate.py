@@ -92,6 +92,14 @@ def young_integral(
     return IntegralResult(value=value, partition_mesh=mesh, certified_bound=bound)
 
 
+def _same_on(Z: SampledPath, X: SampledPath, interval) -> bool:
+    """Equal times and values over the interval, so equal p-variations."""
+    z0, z1 = _interval_indices(Z, interval)
+    x0, x1 = _interval_indices(X, interval)
+    return (np.array_equal(Z.times[z0 : z1 + 1], X.times[x0 : x1 + 1])
+            and np.array_equal(Z.values[z0 : z1 + 1], X.values[x0 : x1 + 1]))
+
+
 def young_loeve_bound(Z: SampledPath, X: SampledPath, p: float, q: float, interval=None) -> float:
     """C_{p,q} ||Z||_{q,[s,t]} ||X||_{p,[s,t]} with C = 1/(1 - 2^{1-theta}).
 
@@ -101,7 +109,8 @@ def young_loeve_bound(Z: SampledPath, X: SampledPath, p: float, q: float, interv
     so it certifies the sampled sums, not the underlying continuum
     integral. C dominates the discrete point-removal constant zeta(theta)
     (group the removal losses dyadically), so the inequality is rigorous
-    for the grid sums themselves.
+    for the grid sums themselves. When p == q and Z equals X on [s, t],
+    the single p-variation serves both factors.
     """
     if p < 1 or q < 1:
         raise PathError("variation exponents must be >= 1")
@@ -110,7 +119,8 @@ def young_loeve_bound(Z: SampledPath, X: SampledPath, p: float, q: float, interv
         raise YoungConditionError(f"need 1/p + 1/q > 1, got {theta}")
     c = 1.0 / (1.0 - 2.0 ** (1.0 - theta))
     vz = p_variation(Z, q, interval).value
-    vx = p_variation(X, p, interval).value
+    same = p == q and _same_on(Z, X, interval)
+    vx = vz if same else p_variation(X, p, interval).value
     return c * vz * vx
 
 

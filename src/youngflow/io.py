@@ -102,7 +102,7 @@ def render_json(payload: dict, schema: str | None = None) -> str:
     doc["meta"] = make_meta()
     if schema is not None:
         jsonschema.validate(doc, load_schema(schema))
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(fname, payload: dict, schema: str | None = None) -> dict:

@@ -1,14 +1,20 @@
 """End-to-end command-line runs, in process via main(argv)."""
 
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
+import youngflow
+import youngflow.cli as cli
 from youngflow.cli import main
 from youngflow.io import load_schema, read_path_csv, read_solution_slice
+from youngflow.paths import p_variation_norm
 
 
 def run(capsys, argv):
@@ -64,6 +70,21 @@ def test_pvar_of_monotone_path_is_one(capsys, lin17_csv):
     assert rc == 0
     assert doc["value"] == 1.0
     assert doc["optimal_partition"] == [0, 16]
+
+
+def test_pvar_norm_is_p_variation_norm(capsys, fbm_csv):
+    rc, out = run(capsys, ["pvar", "--p", "1.5", "--path", fbm_csv])
+    assert rc == 0
+    # JSON floats round-trip, so this equality is bitwise
+    assert json.loads(out)["norm"] == p_variation_norm(read_path_csv(fbm_csv), 1.5)
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(youngflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, youngflow.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_gen_meta_sidecar(capsys, workdir):
@@ -222,6 +243,37 @@ def test_thread_env_accepted_and_deterministic(capsys, monkeypatch, fbm_csv):
     assert doc == ref
 
 
+@pytest.mark.parametrize("argv", [
+    ["pvar", "--p", "nan", "--path", "LIN"],
+    ["pvar", "--p", "inf", "--path", "LIN"],
+    ["integrate", "--integrand", "LIN", "--driver", "LIN", "--p", "1.4", "--q", "nan"],
+    ["integrate", "--integrand", "LIN", "--driver", "LIN", "--interval", "0", "-inf"],
+    ["solve", "--field", "scaling", "--dim", "1", "--driver", "LIN",
+     "--y0", "nan", "-o", "OUT"],
+    ["check", "symmetry", "--map", "scaling", "--map-params", "factor=inf",
+     "--field", "scaling", "--dim", "2"],
+])
+def test_non_finite_flag_exits_two(capsys, workdir, lin17_csv, argv):
+    subs = {"LIN": lin17_csv, "OUT": str(workdir / "never.csv")}
+    try:
+        rc = main([subs.get(a, a) for a in argv])
+    except SystemExit as err:  # argparse rejects typed flags itself
+        rc = err.code
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert "NaN" not in out and "Infinity" not in out
+
+
+def test_non_finite_report_is_refused(capsys, monkeypatch, lin17_csv):
+    # strict JSON has no NaN: a report holding one is refused, not written
+    real = cli.p_variation
+    monkeypatch.setattr(cli, "p_variation", lambda path, p: dataclasses.replace(
+        real(path, p), value=float("nan")))
+    rc, out = run(capsys, ["pvar", "--p", "1.5", "--path", lin17_csv])
+    assert rc == 2
+    assert out == ""
+
+
 def test_missing_required_flag_exits_two(capsys, lin17_csv):
     with pytest.raises(SystemExit) as err:
         main(["pvar", "--path", lin17_csv])
@@ -240,11 +292,17 @@ def test_blow_up_exits_three(capsys, workdir):
     assert rc == 3
 
 
-def test_fbm_over_cholesky_cap_exits_three(capsys, workdir):
-    rc = main(["gen", "fbm", "--n", "9000", "--seed", "1",
+def test_fbm_over_size_cap_exits_three(capsys, workdir):
+    # one point past the default cap of 2^20 + 1
+    rc = main(["gen", "fbm", "--n", "1048578", "--seed", "1",
                "-o", str(workdir / "big.csv")])
     capsys.readouterr()
     assert rc == 3
+    rc = main(["gen", "fbm", "--n", "101", "--seed", "1", "--max-points", "100",
+               "-o", str(workdir / "big.csv")])
+    capsys.readouterr()
+    assert rc == 3
+    assert not os.path.exists(workdir / "big.csv")
 
 
 # ------------------------------------------------------------- pde surface

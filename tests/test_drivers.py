@@ -1,5 +1,7 @@
 """Driver generators: exact-covariance fBm and the deterministic families."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,15 @@ from youngflow import (
     p_variation_norm,
 )
 from youngflow.drivers import (
+    DEFAULT_MAX_POINTS,
     GENERATOR_VERSION,
+    GenerationError,
+    circulant_eigenvalues,
     deterministic_metadata,
     fbm_increment_covariance,
     fbm_metadata,
     fbm_value_covariance,
+    fgn_autocovariance,
 )
 
 
@@ -48,16 +54,52 @@ def test_fbm_spec_validation():
         FbmSpec(hurst=0.75, n_points=16, horizon=0.0)
     with pytest.raises(PathError):
         FbmSpec(hurst=0.75, n_points=16, seed=-1)
+    with pytest.raises(PathError):
+        FbmSpec(hurst=0.75, n_points=16, max_points=0)
 
 
-def test_fbm_cholesky_cap():
+def test_fbm_size_cap():
+    # the default cap admits a 2^20-interval dyadic grid and nothing larger
+    assert DEFAULT_MAX_POINTS == 2**20 + 1
     with pytest.raises(ResourceError):
-        gen_fbm(FbmSpec(hurst=0.75, n_points=2**13 + 2))
-    # raising the cap explicitly is allowed
-    X = gen_fbm(FbmSpec(hurst=0.75, n_points=40, max_cholesky_points=40))
+        gen_fbm(FbmSpec(hurst=0.75, n_points=DEFAULT_MAX_POINTS + 1))
+    # the cap can be set explicitly
+    X = gen_fbm(FbmSpec(hurst=0.75, n_points=40, max_points=40))
     assert X.n_points == 40
     with pytest.raises(ResourceError):
-        gen_fbm(FbmSpec(hurst=0.75, n_points=41, max_cholesky_points=40))
+        gen_fbm(FbmSpec(hurst=0.75, n_points=41, max_points=40))
+
+
+@pytest.mark.parametrize("hurst", [0.51, 0.75, 0.99])
+def test_embedding_covariance_matches_dense_oracle(hurst):
+    # the circulant embedding's Toeplitz block is the increment covariance
+    n, horizon = 257, 2.0
+    times = np.linspace(0.0, horizon, n)
+    gamma = fgn_autocovariance(n - 2, hurst) * (horizon / (n - 1)) ** (2 * hurst)
+    lag = np.abs(np.subtract.outer(np.arange(n - 1), np.arange(n - 1)))
+    dense = fbm_increment_covariance(times, hurst)
+    assert np.max(np.abs(gamma[lag] - dense)) <= 1e-13
+
+
+def test_embedding_nonnegative_at_high_hurst():
+    # the naive second difference of k^2H gives an eigenvalue near -0.2 here
+    lam = circulant_eigenvalues(fgn_autocovariance(2**20, 0.99))
+    assert lam.size == 2**21
+    assert lam.min() >= 0.0
+
+
+def test_non_psd_embedding_raises():
+    # |gamma(1)| > gamma(0) is no autocovariance: eigenvalues 3 and -1
+    with pytest.raises(GenerationError):
+        circulant_eigenvalues(np.array([1.0, 2.0]))
+
+
+def test_gen_fbm_emits_no_runtime_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for hurst in (0.51, 0.99):
+            for n in (2, 3, 1025):
+                assert gen_fbm(FbmSpec(hurst=hurst, n_points=n, seed=3)).n_points == n
 
 
 def test_increment_covariance_matches_value_form():

@@ -138,6 +138,31 @@ def test_linear_case_satisfies_bound():
     assert res.certified_bound == pytest.approx(2.0)
 
 
+def test_self_bound_runs_one_dp_and_is_bitwise(monkeypatch):
+    import youngflow.integrate as integrate
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return p_variation(*args)
+
+    monkeypatch.setattr(integrate, "p_variation", counted)
+    X = gen_fbm(FbmSpec(hurst=0.75, n_points=257, seed=2))
+    p = 1.0 / 0.7
+    c = 1.0 / (1.0 - 2.0 ** (1.0 - 2.0 / p))
+    for interval in (None, (X.times[32], X.times[200])):
+        v = p_variation(X, p, interval).value
+        calls.clear()
+        assert young_loeve_bound(X, X, p, p, interval) == c * v * v
+        assert len(calls) == 1
+        # an equal copy shares the DP; unequal exponents or values do not
+        young_loeve_bound(X, SampledPath(X.times.copy(), X.values.copy()), p, p, interval)
+        young_loeve_bound(X, X, p, 1.5, interval)
+        young_loeve_bound(X, SampledPath(X.times, 2.0 * X.values), p, p, interval)
+        assert len(calls) == 6
+
+
 def test_young_condition_enforced():
     Z = SampledPath([0, 1], [0, 1])
     with pytest.raises(YoungConditionError):

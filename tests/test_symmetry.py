@@ -137,8 +137,12 @@ def test_propagate_observable_reconstructs_growth():
     rhs, rep = propagate_observable(F, get_field("scaling", dim=2), X, [0.5, 0.25])
     assert rep.converged
     assert rep.final_residual < rep.residuals[0]
-    # reconstruction tracks the continuum value to Euler accuracy
-    assert abs(rhs.values[-1, 0] - (0.5 * np.exp(X.values[-1, 0])) ** 2) < 5e-2
+    # reconstruction tracks the continuum value to Euler accuracy: on
+    # dF = 2F dX the Euler solve and the left-point sum each miss about
+    # F (dX)^2 per step, so the bound scales with the path, not a constant
+    exact = (0.5 * np.exp(X.values[:, 0])) ** 2
+    err = abs(rhs.values[-1, 0] - exact[-1])
+    assert err <= 2.0 * exact.max() * np.sum(X.increments() ** 2)
 
 
 def test_identity_is_always_a_symmetry():
