@@ -66,7 +66,7 @@ def _params(text: str | None) -> dict:
     return out
 
 
-def _box(text: str) -> GridBox:
+def _box(text: str, dim: int, flag: str) -> GridBox:
     lows, highs, counts = [], [], []
     for axis in text.split(";"):
         parts = axis.split(":")
@@ -75,6 +75,8 @@ def _box(text: str) -> GridBox:
         lows.append(finite(parts[0]))
         highs.append(finite(parts[1]))
         counts.append(int(parts[2]))
+    if len(counts) != dim:
+        raise PathError(f"{flag} needs {dim} axes for --dim {dim}, got {len(counts)}")
     return GridBox(tuple(lows), tuple(highs), tuple(counts))
 
 
@@ -196,7 +198,7 @@ def cmd_solve(args) -> int:
 def cmd_flow(args) -> int:
     field = bi.get_field(args.field, args.dim, _params(args.params))
     X = yio.read_path_csv(args.driver)
-    pts = _box(args.grid).points()
+    pts = _box(args.grid, args.dim, "--grid").points()
     flow = solve_flow(field, X, pts, _cfg(args))
     yio.write_flow_map(args.out, flow)
     print(f"wrote {args.out} ({pts.shape[0]} trajectories)")
@@ -295,7 +297,8 @@ def _pde_setup(args):
     H = bi.get_hamiltonian(args.hamiltonian, args.dim, _params(args.params))
     phi = bi.get_initial_data(args.init, args.dim, _params(args.init_params))
     X = yio.read_path_csv(args.driver)
-    field = build_char_field(H, X, phi, _box(args.box), substeps=args.substeps)
+    field = build_char_field(H, X, phi, _box(args.box, args.dim, "--box"),
+                             substeps=args.substeps)
     return H, phi, X, field
 
 
@@ -313,7 +316,7 @@ def cmd_pde(args) -> int:
         }, args.out, schema="caustic")
         return 0
     H, phi, X, field = _pde_setup(args)
-    pts = _box(args.eval).points()
+    pts = _box(args.eval, args.dim, "--eval").points()
     if args.pde_cmd == "solve":
         idx = np.unique(np.linspace(0, X.n_points - 1, args.slices).round().astype(int))
         sol = assemble_solution_field(field, pts, times=X.times[idx],

@@ -14,16 +14,18 @@ axis-aligned uniform boxes, d <= 3.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .fields import DEFAULT_FD_STEP, SmoothMap
+from .fields import DEFAULT_FD_STEP, SmoothMap, _fd_last_axis
 from .paths import PathError, SampledPath, dyadic_prefix, dyadic_steps
 from .reports import (CheckReport, ResidualReport, make_check_report,
                       make_residual_report)
+
+
+_NEAREST_CHUNK_BYTES = 4 * 2**20  # row block of the cold-start distance array
 
 
 class CausticError(RuntimeError):
@@ -55,28 +57,18 @@ class ScalarHamiltonian:
     def dx_at(self, t, x, u, p):
         if self.dx is not None:
             return np.asarray(self.dx(t, x, u, p), dtype=float)
-        return self._fd_vec(lambda xx: self.value_at(t, xx, u, p), x)
+        return _fd_last_axis(lambda xx: self.value_at(t, xx, u, p), x, self.fd_step)
 
     def dp_at(self, t, x, u, p):
         if self.dp is not None:
             return np.asarray(self.dp(t, x, u, p), dtype=float)
-        return self._fd_vec(lambda pp: self.value_at(t, x, u, pp), p)
+        return _fd_last_axis(lambda pp: self.value_at(t, x, u, pp), p, self.fd_step)
 
     def du_at(self, t, x, u, p):
         if self.du is not None:
             return np.asarray(self.du(t, x, u, p), dtype=float)
         h = self.fd_step
         return (self.value_at(t, x, u + h, p) - self.value_at(t, x, u - h, p)) / (2 * h)
-
-    def _fd_vec(self, fn, z):
-        z = np.asarray(z, dtype=float)
-        h = self.fd_step
-        cols = []
-        for k in range(z.shape[-1]):
-            e = np.zeros(z.shape[-1])
-            e[k] = h
-            cols.append((fn(z + e) - fn(z - e)) / (2 * h))
-        return np.stack(cols, axis=-1)
 
     @property
     def is_analytic(self) -> bool:
@@ -118,6 +110,10 @@ class GridBox:
         object.__setattr__(self, "lower", tuple(float(v) for v in lo))
         object.__setattr__(self, "upper", tuple(float(v) for v in hi))
         object.__setattr__(self, "counts", tuple(int(v) for v in ct))
+        axes = tuple(np.linspace(*spec) for spec in zip(self.lower, self.upper, self.counts))
+        for ax in axes:
+            ax.flags.writeable = False
+        object.__setattr__(self, "_axes", axes)
 
     @property
     def dim(self) -> int:
@@ -128,51 +124,50 @@ class GridBox:
         return int(np.prod(self.counts))
 
     def axes(self) -> list:
-        return [np.linspace(self.lower[k], self.upper[k], self.counts[k])
-                for k in range(self.dim)]
+        return list(self._axes)
 
     def points(self) -> np.ndarray:
         grids = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
-def interp_nodal(box: GridBox, nodal: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of nodal data (m, S...) at x (k, d)."""
+def _locate(box: GridBox, x: np.ndarray):
+    """Cell lookup at x (k, d): corner flat indices and multilinear weights.
+
+    Both are (k, 2^d), corners ordered as itertools.product((0, 1),
+    repeat=d); each weight is the product of its per-axis factors taken
+    in axis order. Queries outside the box use the nearest edge cell.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    axes = box.axes()
-    idx, wts = [], []
-    for ax, coords in enumerate(axes):
-        c = np.clip(np.searchsorted(coords, x[:, ax], side="right") - 1, 0, coords.size - 2)
-        w = (x[:, ax] - coords[c]) / (coords[c + 1] - coords[c])
-        idx.append(c)
-        wts.append(w)
-    out = 0.0
-    for corner in itertools.product((0, 1), repeat=box.dim):
-        weight = np.ones(x.shape[0])
-        flat = np.zeros(x.shape[0], dtype=int)
-        for ax, bit in enumerate(corner):
-            weight = weight * (wts[ax] if bit else 1.0 - wts[ax])
-            flat = flat * box.counts[ax] + idx[ax] + bit
-        vals = nodal[flat]
-        out = out + weight.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
+    k = x.shape[0]
+    for ax, coords in enumerate(box._axes):
+        c = coords.searchsorted(x[:, ax], side="right") - 1
+        c = np.minimum(np.maximum(c, 0), coords.size - 2)
+        lo = coords[c]
+        factors = np.empty((k, 2))
+        factors[:, 1] = (x[:, ax] - lo) / (coords[c + 1] - lo)
+        factors[:, 0] = 1.0 - factors[:, 1]
+        if ax == 0:
+            flat, weight = c[:, None] + (0, 1), factors
+            continue
+        flat = (flat[:, :, None] * coords.size + (c[:, None] + (0, 1))[:, None, :]).reshape(k, -1)
+        weight = (weight[:, :, None] * factors[:, None, :]).reshape(k, -1)
+    return flat, weight
+
+
+def _interp(loc, nodal: np.ndarray) -> np.ndarray:
+    """Apply a _locate lookup to nodal data (m, S...), giving (k, S...)."""
+    flat, weight = loc
+    terms = weight.reshape(weight.shape + (1,) * (nodal.ndim - 1)) * nodal[flat]
+    out = 0.0  # summed corner by corner from +0.0: the order is part of the result
+    for corner in range(flat.shape[1]):
+        out = out + terms[:, corner]
     return out
 
 
-def _cell_corners(box: GridBox, x: np.ndarray) -> np.ndarray:
-    """Flat seed indices of the 2^d corners of each query's cell, (k, 2^d)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    axes = box.axes()
-    idx = []
-    for ax, coords in enumerate(axes):
-        idx.append(np.clip(np.searchsorted(coords, x[:, ax], side="right") - 1,
-                           0, coords.size - 2))
-    corners = []
-    for corner in itertools.product((0, 1), repeat=box.dim):
-        flat = np.zeros(x.shape[0], dtype=int)
-        for ax, bit in enumerate(corner):
-            flat = flat * box.counts[ax] + idx[ax] + bit
-        corners.append(flat)
-    return np.stack(corners, axis=-1)
+def interp_nodal(box: GridBox, nodal: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of nodal data (m, S...) at x (k, d)."""
+    return _interp(_locate(box, x), nodal)
 
 
 @dataclass(frozen=True)
@@ -217,16 +212,16 @@ def _char_core(H: HamiltonianSpec, X: SampledPath, A0, B0, C0, substeps: int = 1
                     db = db + (fv - np.einsum("md,md->m", fp, c)) * dxs[j]
                     dc = dc + (fx + fu[:, None] * c) * dxs[j]
                 a, b, c = a + da, b + db, c + dc
-            bad = alive & ~(np.isfinite(a).all(axis=1) & np.isfinite(b)
-                            & np.isfinite(c).all(axis=1))
-            if np.any(bad):
+            if not np.isfinite(a.sum() + b.sum() + c.sum()):
+                bad = alive & ~(np.isfinite(a).all(axis=1) & np.isfinite(b)
+                                & np.isfinite(c).all(axis=1))
                 alive_idx[bad] = i
                 alive &= ~bad
-                a[bad], b[bad], c[bad] = A[i][bad], B[i][bad], C[i][bad]
-            A[i + 1] = np.where(alive[:, None], a, A[i])
-            B[i + 1] = np.where(alive, b, B[i])
-            C[i + 1] = np.where(alive[:, None], c, C[i])
-            a, b, c = A[i + 1].copy(), B[i + 1].copy(), C[i + 1].copy()
+            if not alive.all():
+                a = np.where(alive[:, None], a, A[i])
+                b = np.where(alive, b, B[i])
+                c = np.where(alive[:, None], c, C[i])
+            A[i + 1], B[i + 1], C[i + 1] = a, b, c
     return A, B, C, alive_idx
 
 
@@ -321,22 +316,15 @@ def _first_zero_crossing(times: np.ndarray, det: np.ndarray):
     Returns (tau, folded). Columns whose det never changes sign get
     tau = horizon with folded = False, so tau <= horizon always holds.
     """
-    n, m = det.shape
-    tau = np.full(m, float(times[-1]))
-    folded = np.zeros(m, dtype=bool)
+    tau = np.full(det.shape[1], float(times[-1]))
     sign_change = (det[:-1] > 0) & (det[1:] <= 0)
-    for j in range(m):
-        if det[0, j] <= 0:
-            tau[j] = times[0]
-            folded[j] = True
-            continue
-        hits = np.nonzero(sign_change[:, j])[0]
-        if hits.size:
-            i = hits[0]
-            d0, d1 = det[i, j], det[i + 1, j]
-            tau[j] = times[i] + d0 / (d0 - d1) * (times[i + 1] - times[i])
-            folded[j] = True
-    return tau, folded
+    start, crossed = det[0] <= 0, sign_change.any(axis=0)
+    cols = np.nonzero(crossed & ~start)[0]
+    i = np.argmax(sign_change[:, cols], axis=0)
+    d0, d1 = det[i, cols], det[i + 1, cols]
+    tau[cols] = times[i] + d0 / (d0 - d1) * (times[i + 1] - times[i])
+    tau[start] = times[0]
+    return tau, start | crossed
 
 
 def build_char_field(H: HamiltonianSpec, X: SampledPath, phi: SmoothMap,
@@ -357,41 +345,53 @@ def _invert_batch(field: CharField, idx: int, targets: np.ndarray,
                   newton_tol: float, max_iter: int, x0: np.ndarray | None = None):
     """Newton on the interpolated map a_t.
 
-    Returns (x, ok, pre, inside): convergence, pre-fold cell corners, and
+    Returns (x, loc, ok, pre, inside): the preimages, their _locate
+    lookup, and the convergence, pre-fold cell corners and
     preimage-in-seed-box masks. Outside the box the interpolant
     extrapolates linearly, so only in-hull preimages are trustworthy.
     """
+    box = field.box
     Y = np.atleast_2d(np.asarray(targets, dtype=float))
+    if Y.shape[-1] != box.dim:
+        raise PathError(f"targets have {Y.shape[-1]} coordinates, the seed box {box.dim}")
     A = field.A[idx]
     J = field.jac[idx]
     if x0 is None:
-        d2 = np.linalg.norm(A[None, :, :] - Y[:, None, :], axis=2)
-        x = field.seeds[np.argmin(d2, axis=1)].copy()
+        x = field.seeds[_nearest_nodes(A, Y)]
     else:
         x = np.array(x0, dtype=float)
-    r = interp_nodal(field.box, A, x) - Y
+    loc = _locate(box, x)
+    r = _interp(loc, A) - Y
+    nrm = np.linalg.norm(r, axis=1)
     for _ in range(max_iter):
-        nrm = np.linalg.norm(r, axis=1)
         live = nrm > newton_tol
         if not live.any():
             break
-        jq = interp_nodal(field.box, J, x)
+        jq = _interp(loc, J)
         dets = np.linalg.det(jq)
         singular = np.abs(dets) < 1e-14
-        jq[singular] = np.eye(field.box.dim)
+        if singular.any():
+            jq[singular] = np.eye(box.dim)
         delta = np.linalg.solve(jq, r[..., None])[..., 0]
         delta[singular | ~live] = 0.0
         x = x - delta
-        r = interp_nodal(field.box, A, x) - Y
-    ok = np.linalg.norm(r, axis=1) <= newton_tol
-    t_val = field.times[idx]
-    corners = _cell_corners(field.box, x)
-    blocked = field.folded[corners] & (field.tau[corners] <= t_val)
-    pre = ~blocked.any(axis=1)
-    lo = np.asarray(field.box.lower)
-    hi = np.asarray(field.box.upper)
-    inside = ((x >= lo) & (x <= hi)).all(axis=1)
-    return x, ok, pre, inside
+        loc = _locate(box, x)
+        r = _interp(loc, A) - Y
+        nrm = np.linalg.norm(r, axis=1)
+    corners = loc[0]
+    blocked = field.folded[corners] & (field.tau[corners] <= field.times[idx])
+    inside = ((x >= box.lower) & (x <= box.upper)).all(axis=1)
+    return x, loc, nrm <= newton_tol, ~blocked.any(axis=1), inside
+
+
+def _nearest_nodes(A: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Nearest node of A (m, d) to each row of Y (k, d), in row blocks."""
+    rows = max(1, _NEAREST_CHUNK_BYTES // A.nbytes)
+    out = np.empty(Y.shape[0], dtype=np.intp)
+    for s in range(0, Y.shape[0], rows):
+        dist = np.linalg.norm(A[None, :, :] - Y[s:s + rows, None, :], axis=2)
+        out[s:s + rows] = np.argmin(dist, axis=1)
+    return out
 
 
 def invert_char_map(field: CharField, t: float, y, newton_tol: float = 1e-10,
@@ -399,7 +399,7 @@ def invert_char_map(field: CharField, t: float, y, newton_tol: float = 1e-10,
     """Preimage under the interpolated characteristic map at grid time t."""
     idx = field.index_of(t)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    x, ok, pre, inside = _invert_batch(field, idx, y[None, :], newton_tol, max_iter)
+    x, _, ok, pre, inside = _invert_batch(field, idx, y[None, :], newton_tol, max_iter)
     if not pre[0]:
         raise CausticError(f"t={t} is at or beyond the fold for this region")
     if not inside[0]:
@@ -431,15 +431,8 @@ class SolutionField:
 def assemble_solution(field: CharField, t: float, points,
                       newton_tol: float = 1e-10, max_iter: int = 50):
     """One time slice: (u (k,), du (k, d), valid (k,)) at the given points."""
-    idx = field.index_of(t)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x, ok, pre, inside = _invert_batch(field, idx, pts, newton_tol, max_iter)
-    valid = ok & pre & inside
-    u = interp_nodal(field.box, field.B[idx], x)
-    du = interp_nodal(field.box, field.C[idx], x)
-    u[~valid] = np.nan
-    du[~valid] = np.nan
-    return u, du, valid
+    sol = assemble_solution_field(field, points, [t], newton_tol, max_iter)
+    return sol.u[0], sol.du[0], sol.valid[0]
 
 
 def assemble_solution_field(field: CharField, points, times=None,
@@ -456,14 +449,17 @@ def assemble_solution_field(field: CharField, points, times=None,
     x_prev = None
     for r, t in enumerate(times):
         idx = field.index_of(float(t))
-        x, ok, pre, inside = _invert_batch(field, idx, pts, newton_tol, max_iter, x0=x_prev)
+        x, loc, ok, pre, inside = _invert_batch(field, idx, pts, newton_tol, max_iter,
+                                                x0=x_prev)
         v = ok & pre & inside
-        u[r] = interp_nodal(field.box, field.B[idx], x)
-        du[r] = interp_nodal(field.box, field.C[idx], x)
-        u[r, ~v] = np.nan
-        du[r, ~v] = np.nan
+        u[r] = _interp(loc, field.B[idx])
+        du[r] = _interp(loc, field.C[idx])
         valid[r] = v
-        x_prev = np.where(v[:, None], x, pts)
+        x_prev = x
+        if not v.all():
+            u[r, ~v] = np.nan
+            du[r, ~v] = np.nan
+            x_prev = np.where(v[:, None], x, pts)
     sigma = np.full(k, np.inf)
     for j in range(k):
         bad = np.nonzero(~valid[:, j])[0]
@@ -530,16 +526,16 @@ def verify_inverse_flow_equation(field: CharField, H: HamiltonianSpec, X: Sample
     SJ = np.empty((H.n_drivers, n, k, field.box.dim))
     x_prev = None
     for i in range(n):
-        x, ok, pre, inside = _invert_batch(field, i, pts, newton_tol, max_iter, x0=x_prev)
+        x, loc, ok, pre, inside = _invert_batch(field, i, pts, newton_tol, max_iter, x0=x_prev)
         if not pre.all():
             raise CausticError("inverse-flow check needs pre-fold points throughout")
         if not (ok & inside).all():
             raise InversionError("inverse-flow check lost coverage of a preimage")
         P[i] = x
         x_prev = x
-        bq = interp_nodal(field.box, field.B[i], x)
-        cq = interp_nodal(field.box, field.C[i], x)
-        jq = interp_nodal(field.box, field.jac[i], x)
+        bq = _interp(loc, field.B[i])
+        cq = _interp(loc, field.C[i])
+        jq = _interp(loc, field.jac[i])
         jinv = np.linalg.inv(jq)
         for j, comp in enumerate(H.components):
             fp = comp.dp_at(field.times[i], pts, bq, cq)

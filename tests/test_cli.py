@@ -274,6 +274,28 @@ def test_non_finite_report_is_refused(capsys, monkeypatch, lin17_csv):
     assert out == ""
 
 
+def test_flow_grid_axis_count_must_match_dim(capsys, workdir, lin17_csv):
+    rc = main(["flow", "--field", "rotation", "--dim", "2", "--driver", lin17_csv,
+               "--grid=-1:1:3", "-o", str(workdir / "never_flow")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "--grid needs 2 axes for --dim 2, got 1" in err
+    assert not os.path.exists(workdir / "never_flow")
+
+
+def test_pde_eval_axis_count_must_match_dim(capsys, workdir, lin17_csv):
+    # a 1-axis --eval against a 2-d map used to run Newton on the diagonal
+    rc, out = run(capsys, ["pde", "residual", "--hamiltonian", "transport-k",
+                           "--dim", "2", "--init", "sin", "--driver", lin17_csv,
+                           "--box=-3:3:11;-3:3:11", "--eval=-1:1:5"])
+    assert rc == 2 and out == ""
+    rc = main(["pde", "solve", "--hamiltonian", "transport-k", "--dim", "2",
+               "--init", "sin", "--driver", lin17_csv, "--box=-3:3:11",
+               "--eval=-1:1:5;-1:1:5", "-o", str(workdir / "never_solve")])
+    assert rc == 2 and not os.path.exists(workdir / "never_solve")
+    assert "--box needs 2 axes for --dim 2, got 1" in capsys.readouterr().err
+
+
 def test_missing_required_flag_exits_two(capsys, lin17_csv):
     with pytest.raises(SystemExit) as err:
         main(["pvar", "--path", lin17_csv])

@@ -1,0 +1,371 @@
+"""The PDE inversion against a written-out reference of its semantics.
+
+The reference below is the plain per-slice loop: one interpolation call
+per nodal array, each doing its own cell search, a separate corner
+lookup for the fold test, a dense nearest-seed search, and a per-column
+fold-time loop. The library shares one cell lookup per Newton iterate
+and vectorises the rest; these tests pin that it computes the same bits,
+including which preimage branch a warm-started slice follows past a fold.
+"""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import youngflow.pde as pde
+from youngflow import (
+    DeterministicSpec,
+    FbmSpec,
+    GridBox,
+    HamiltonianSpec,
+    PathError,
+    SampledPath,
+    ScalarHamiltonian,
+    assemble_solution_field,
+    build_char_field,
+    gen_deterministic,
+    gen_fbm,
+    interp_nodal,
+)
+from youngflow.builtins import get_hamiltonian, get_initial_data
+
+# ------------------------------------------------------------- reference
+
+
+def _ref_axes(box):
+    return [np.linspace(box.lower[k], box.upper[k], box.counts[k]) for k in range(box.dim)]
+
+
+def _ref_interp_nodal(box, nodal, x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    idx, wts = [], []
+    for ax, coords in enumerate(_ref_axes(box)):
+        c = np.clip(np.searchsorted(coords, x[:, ax], side="right") - 1, 0, coords.size - 2)
+        w = (x[:, ax] - coords[c]) / (coords[c + 1] - coords[c])
+        idx.append(c)
+        wts.append(w)
+    out = 0.0
+    for corner in itertools.product((0, 1), repeat=box.dim):
+        weight = np.ones(x.shape[0])
+        flat = np.zeros(x.shape[0], dtype=int)
+        for ax, bit in enumerate(corner):
+            weight = weight * (wts[ax] if bit else 1.0 - wts[ax])
+            flat = flat * box.counts[ax] + idx[ax] + bit
+        vals = nodal[flat]
+        out = out + weight.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
+    return out
+
+
+def _ref_cell_corners(box, x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    idx = [np.clip(np.searchsorted(coords, x[:, ax], side="right") - 1, 0, coords.size - 2)
+           for ax, coords in enumerate(_ref_axes(box))]
+    corners = []
+    for corner in itertools.product((0, 1), repeat=box.dim):
+        flat = np.zeros(x.shape[0], dtype=int)
+        for ax, bit in enumerate(corner):
+            flat = flat * box.counts[ax] + idx[ax] + bit
+        corners.append(flat)
+    return np.stack(corners, axis=-1)
+
+
+def _ref_invert_batch(field, idx, targets, newton_tol, max_iter, x0=None):
+    Y = np.atleast_2d(np.asarray(targets, dtype=float))
+    A = field.A[idx]
+    J = field.jac[idx]
+    if x0 is None:
+        d2 = np.linalg.norm(A[None, :, :] - Y[:, None, :], axis=2)
+        x = field.seeds[np.argmin(d2, axis=1)].copy()
+    else:
+        x = np.array(x0, dtype=float)
+    r = _ref_interp_nodal(field.box, A, x) - Y
+    for _ in range(max_iter):
+        nrm = np.linalg.norm(r, axis=1)
+        live = nrm > newton_tol
+        if not live.any():
+            break
+        jq = _ref_interp_nodal(field.box, J, x)
+        dets = np.linalg.det(jq)
+        singular = np.abs(dets) < 1e-14
+        jq[singular] = np.eye(field.box.dim)
+        delta = np.linalg.solve(jq, r[..., None])[..., 0]
+        delta[singular | ~live] = 0.0
+        x = x - delta
+        r = _ref_interp_nodal(field.box, A, x) - Y
+    ok = np.linalg.norm(r, axis=1) <= newton_tol
+    corners = _ref_cell_corners(field.box, x)
+    blocked = field.folded[corners] & (field.tau[corners] <= field.times[idx])
+    pre = ~blocked.any(axis=1)
+    inside = ((x >= np.asarray(field.box.lower)) & (x <= np.asarray(field.box.upper))).all(axis=1)
+    return x, ok, pre, inside
+
+
+def _ref_assemble(field, pts, newton_tol=1e-10, max_iter=50):
+    """The per-slice warm-started loop: (u, du, valid, sigma_proxy)."""
+    times = field.times
+    k = pts.shape[0]
+    u = np.empty((times.size, k))
+    du = np.empty((times.size, k, field.box.dim))
+    valid = np.empty((times.size, k), dtype=bool)
+    x_prev = None
+    for r in range(times.size):
+        x, ok, pre, inside = _ref_invert_batch(field, r, pts, newton_tol, max_iter, x0=x_prev)
+        v = ok & pre & inside
+        u[r] = _ref_interp_nodal(field.box, field.B[r], x)
+        du[r] = _ref_interp_nodal(field.box, field.C[r], x)
+        u[r, ~v] = np.nan
+        du[r, ~v] = np.nan
+        valid[r] = v
+        x_prev = np.where(v[:, None], x, pts)
+    sigma = np.full(k, np.inf)
+    for j in range(k):
+        bad = np.nonzero(~valid[:, j])[0]
+        if bad.size:
+            sigma[j] = float(times[bad[0]])
+    return u, du, valid, sigma
+
+
+def _ref_first_zero_crossing(times, det):
+    n, m = det.shape
+    tau = np.full(m, float(times[-1]))
+    folded = np.zeros(m, dtype=bool)
+    sign_change = (det[:-1] > 0) & (det[1:] <= 0)
+    for j in range(m):
+        if det[0, j] <= 0:
+            tau[j] = times[0]
+            folded[j] = True
+            continue
+        hits = np.nonzero(sign_change[:, j])[0]
+        if hits.size:
+            i = hits[0]
+            d0, d1 = det[i, j], det[i + 1, j]
+            tau[j] = times[i] + d0 / (d0 - d1) * (times[i + 1] - times[i])
+            folded[j] = True
+    return tau, folded
+
+
+def _ref_fd_vec(fn, z, h):
+    z = np.asarray(z, dtype=float)
+    cols = []
+    for k in range(z.shape[-1]):
+        e = np.zeros(z.shape[-1])
+        e[k] = h
+        cols.append((fn(z + e) - fn(z - e)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def _ref_char_core(H, X, A0, B0, C0):
+    times = X.times
+    n = times.size
+    dX = np.diff(X.values, axis=0)
+    a, b, c = (np.array(v, dtype=float) for v in (A0, B0, C0))
+    m = a.shape[0]
+    A, B, C = np.empty((n, m, a.shape[1])), np.empty((n, m)), np.empty((n, m, a.shape[1]))
+    A[0], B[0], C[0] = a, b, c
+    alive_idx = np.full(m, n - 1, dtype=int)
+    alive = np.ones(m, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1):
+            ts = times[i]
+            da, db, dc = np.zeros_like(a), np.zeros_like(b), np.zeros_like(c)
+            for j, comp in enumerate(H.components):
+                fv, fp = comp.value_at(ts, a, b, c), comp.dp_at(ts, a, b, c)
+                fx, fu = comp.dx_at(ts, a, b, c), comp.du_at(ts, a, b, c)
+                da = da - fp * dX[i][j]
+                db = db + (fv - np.einsum("md,md->m", fp, c)) * dX[i][j]
+                dc = dc + (fx + fu[:, None] * c) * dX[i][j]
+            a, b, c = a + da, b + db, c + dc
+            bad = alive & ~(np.isfinite(a).all(axis=1) & np.isfinite(b)
+                            & np.isfinite(c).all(axis=1))
+            if np.any(bad):
+                alive_idx[bad] = i
+                alive &= ~bad
+                a[bad], b[bad], c[bad] = A[i][bad], B[i][bad], C[i][bad]
+            A[i + 1] = np.where(alive[:, None], a, A[i])
+            B[i + 1] = np.where(alive, b, B[i])
+            C[i + 1] = np.where(alive[:, None], c, C[i])
+            a, b, c = A[i + 1].copy(), B[i + 1].copy(), C[i + 1].copy()
+    return A, B, C, alive_idx
+
+
+def _same(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+def _short_line(n):
+    return gen_deterministic(DeterministicSpec(kind="linear", n_points=n, horizon=1.0))
+
+
+# ---------------------------------------------------------------- lookup
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_locate_and_interp_match_reference_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(5):
+        lower = rng.uniform(-2.0, 0.0, dim)
+        upper = lower + rng.uniform(0.5, 3.0, dim)
+        box = GridBox(tuple(lower), tuple(upper), tuple(rng.integers(2, 9, dim)))
+        # inside, outside (edge cells extrapolate) and exactly on nodes
+        x = rng.uniform(lower - 0.5, upper + 0.5, (40, dim))
+        x[:5] = box.points()[rng.integers(0, box.n_points, 5)]
+        loc = pde._locate(box, x)
+        assert np.array_equal(loc[0], _ref_cell_corners(box, x))
+        for shape in ((), (dim,), (dim, dim)):
+            nodal = rng.normal(size=(box.n_points,) + shape)
+            ref = _ref_interp_nodal(box, nodal, x)
+            assert np.array_equal(pde._interp(loc, nodal), ref)
+            assert np.array_equal(interp_nodal(box, nodal, x), ref)
+
+
+def test_grid_box_axes_are_cached_and_read_only():
+    box = GridBox((-1.0, 0.0), (1.0, 2.0), (5, 3))
+    assert all(a is b for a, b in zip(box.axes(), box.axes()))
+    for got, ref in zip(box.axes(), _ref_axes(box)):
+        assert np.array_equal(got, ref)
+        with pytest.raises(ValueError):
+            got[0] = 7.0
+    assert box == GridBox((-1.0, 0.0), (1.0, 2.0), (5, 3))
+
+
+# -------------------------------------------------------------- assembly
+
+
+def _folding_burgers_field():
+    # Burgers with sin data folds once |X| grows past 1: 42 of 113 seeds
+    # fold and 215 of 257 slices lose some evaluation points
+    X = gen_fbm(FbmSpec(hurst=0.8, n_points=257, seed=3))
+    X = SampledPath(X.times, 1.5 * X.values)
+    H = get_hamiltonian("burgers-half-p-squared", 1)
+    phi = get_initial_data("sin", 1)
+    return build_char_field(H, X, phi, GridBox((-3.0,), (3.0,), (113,)))
+
+
+def test_folding_burgers_matches_reference_loop():
+    field = _folding_burgers_field()
+    pts = np.linspace(-2.5, 2.5, 21)[:, None]
+    sol = assemble_solution_field(field, pts)
+    u, du, valid, sigma = _ref_assemble(field, pts)
+    assert field.folded.sum() == 42
+    assert 0.8 < valid.mean() < 0.9  # the case really folds
+    assert _same(sol.u, u) and _same(sol.du, du)
+    assert np.array_equal(sol.valid, valid)
+    assert np.array_equal(sol.sigma_proxy, sigma)
+
+
+def test_two_d_transport_field_closed_form_and_reference():
+    # u(t, y) = sin(y1 + k dX_t) for transport-k with k = (0.7, 0.7)
+    X = gen_fbm(FbmSpec(hurst=0.8, n_points=129, seed=4))
+    H = get_hamiltonian("transport-k", 2, {"k": 0.7})
+    phi = get_initial_data("sin", 2)
+    field = build_char_field(H, X, phi, GridBox((-3.0, -3.0), (3.0, 3.0), (121, 13)))
+    pts = GridBox((-1.0, -1.0), (1.0, 1.0), (5, 4)).points()
+    sol = assemble_solution_field(field, pts)
+    assert sol.valid.all()
+    dx = X.values[:, 0] - X.values[0, 0]
+    target = np.sin(pts[None, :, 0] + 0.7 * dx[:, None])
+    assert np.max(np.abs(sol.u - target)) < 1e-3
+    assert np.max(np.abs(sol.du[..., 0] - np.cos(pts[None, :, 0] + 0.7 * dx[:, None]))) < 1e-2
+    assert np.max(np.abs(sol.du[..., 1])) < 1e-12
+    u, du, valid, _ = _ref_assemble(field, pts)
+    assert np.array_equal(sol.u, u) and np.array_equal(sol.du, du)
+
+
+def test_invert_rejects_targets_of_the_wrong_width():
+    field = build_char_field(get_hamiltonian("transport-k", 2), _short_line(5),
+                             get_initial_data("sin", 2),
+                             GridBox((-2.0, -2.0), (2.0, 2.0), (9, 9)))
+    with pytest.raises(PathError):
+        pde._invert_batch(field, 2, np.linspace(-1.0, 1.0, 5)[:, None], 1e-10, 50)
+    with pytest.raises(PathError):
+        assemble_solution_field(field, np.zeros((3, 3)))
+
+
+# ----------------------------------------------------- nearest-seed search
+
+
+def test_chunked_nearest_search_gives_the_same_preimages(monkeypatch):
+    X = gen_fbm(FbmSpec(hurst=0.8, n_points=33, seed=2))
+    field = build_char_field(get_hamiltonian("burgers-half-p-squared", 2), X,
+                             get_initial_data("gauss", 2),
+                             GridBox((-2.0, -2.0), (2.0, 2.0), (31, 29)))
+    targets = np.random.default_rng(5).uniform(-1.5, 1.5, (57, 2))
+    whole = pde._invert_batch(field, 20, targets, 1e-10, 50)
+    ref = _ref_invert_batch(field, 20, targets, 1e-10, 50)
+    assert np.array_equal(whole[0], ref[0])
+    for k in (2, 3):
+        assert np.array_equal(whole[k], ref[k - 1])
+    one_row = field.A[20].nbytes
+    for budget in (1, one_row, 7 * one_row + 1):
+        monkeypatch.setattr(pde, "_NEAREST_CHUNK_BYTES", budget)
+        got = pde._invert_batch(field, 20, targets, 1e-10, 50)
+        assert np.array_equal(got[0], whole[0])
+        assert all(np.array_equal(g, w) for g, w in zip(got[2:], whole[2:]))
+
+
+def test_cold_start_on_a_large_3d_box_stays_small():
+    # 41^3 seeds against 11^3 targets: one dense (k, m, d) block is 2.2 GB
+    H = get_hamiltonian("transport-k", 3, {"k": 0.7})
+    field = build_char_field(H, _short_line(3), get_initial_data("sin", 3),
+                             GridBox((-2.0,) * 3, (2.0,) * 3, (41,) * 3))
+    pts = GridBox((-1.0,) * 3, (1.0,) * 3, (11,) * 3).points()
+    tracemalloc.start()
+    try:
+        sol = assemble_solution_field(field, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.valid.all()
+    assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------- characteristic core
+
+
+def test_first_zero_crossing_matches_reference_loop():
+    times = np.linspace(0.0, 2.0, 9)
+    cols = [
+        [1.0, 0.8, 0.5, 0.2, -0.1, -0.5, 0.3, 0.4, 0.5],  # crossing, then back up
+        [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],    # no crossing
+        [0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],    # det[0] == 0
+        [-1.0, 0.5, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # det[0] < 0, later crossing
+        [0.9, 0.7, 0.5, 0.3, 0.1, 0.05, 0.02, 0.01, 0.0],  # touches zero at the end
+        [1.0, np.nan, 1.0, 0.5, -0.5, 1.0, 1.0, 1.0, 1.0],  # NaN before a crossing
+    ]
+    rng = np.random.default_rng(9)
+    det = np.column_stack(cols + [rng.normal(0.3, 1.0, 9) for _ in range(40)])
+    tau, folded = pde._first_zero_crossing(times, det)
+    ref_tau, ref_folded = _ref_first_zero_crossing(times, det)
+    assert np.array_equal(tau, ref_tau) and np.array_equal(folded, ref_folded)
+    assert folded[:6].tolist() == [True, False, True, True, True, True]
+
+
+def test_char_core_blow_up_matches_reference():
+    # F = u^2: db = u^2 dX blows up at X = 1/u0, so large seeds die early
+    comp = ScalarHamiltonian(value=lambda t, x, u, p: u ** 2)
+    H = HamiltonianSpec(state_dim=1, components=(comp,))
+    X = _short_line(65)
+    seeds = np.linspace(0.0, 4.0, 9)[:, None]
+    u0 = np.linspace(0.0, 40.0, 9)
+    got = pde._char_core(H, X, seeds, u0, seeds.copy())
+    ref = _ref_char_core(H, X, seeds, u0, seeds.copy())
+    assert 0 < np.sum(got[3] < X.n_points - 1) < 9  # some seeds die, some live
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
+
+
+def test_fd_partials_match_the_former_fd_vec():
+    # no analytic partials: dx and dp come from central differences
+    comp = ScalarHamiltonian(value=lambda t, x, u, p: np.sin(x[..., 0] * p[..., -1]) * u
+                             + 0.5 * np.sum(p ** 2, axis=-1) * np.cos(t + x[..., -1]))
+    assert not comp.is_analytic
+    rng = np.random.default_rng(3)
+    x, p = rng.normal(size=(17, 3)), rng.normal(size=(17, 3))
+    u = rng.normal(size=17)
+    h = comp.fd_step
+    ref_dx = _ref_fd_vec(lambda xx: comp.value_at(0.3, xx, u, p), x, h)
+    ref_dp = _ref_fd_vec(lambda pp: comp.value_at(0.3, x, u, pp), p, h)
+    assert np.array_equal(comp.dx_at(0.3, x, u, p), ref_dx)
+    assert np.array_equal(comp.dp_at(0.3, x, u, p), ref_dp)
