@@ -10,8 +10,7 @@ flow composition, and first-order systems solved by characteristics.
 
 from .paths import (Partition, PathError, SampledPath, VariationResult,
                     dyadic_prefix, dyadic_steps, holder_norm, p_variation,
-                    p_variation_norm,
-                    stack_channels)
+                    p_variation_norm)
 from .integrate import (DimensionMismatch, IntegralResult, YoungConditionError,
                         indefinite_integral, young_integral, young_loeve_bound)
 from .drivers import (DeterministicSpec, FbmSpec, GenerationError,
@@ -21,7 +20,8 @@ from .fields import (FieldSpec, PointMap, ScalarObservable, SmoothMap,
                      TimeDependentMap, as_single_field)
 from .yde import (BlowUpError, FlowMap, NewtonError, SolveConfig, invert_flow,
                   solve_flow, solve_yde)
-from .reports import CheckReport, ResidualReport, make_check_report, make_residual_report
+from .reports import (CheckReport, ResidualReport, make_check_report,
+                      make_residual_report, residual_ladder)
 from .calculus import chain_rule_residual, ito_kunita_residual, substitution_residual
 from .symmetry import (SampleDomain, check_conserved_algebraic,
                        check_conserved_trajectory, check_infinitesimal_symmetry,

@@ -90,9 +90,6 @@ def _map_square(dim: int) -> SmoothMap:
         in_dim=dim, out_dim=dim,
         value=lambda x: x ** 2,
         jacobian=lambda x: _diag_embed(2.0 * x),
-        hessian=lambda x: 2.0 * np.broadcast_to(
-            _diag_embed(np.ones(dim))[:, :, None] * np.eye(dim)[None, :, :],
-            x.shape + (dim, dim)).copy(),
     )
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .fields import SmoothMap, TimeDependentMap
 from .integrate import indefinite_integral
-from .paths import PathError, SampledPath, dyadic_prefix, dyadic_steps
-from .reports import ResidualReport, make_residual_report
+from .paths import PathError, SampledPath, dyadic_prefix
+from .reports import ResidualReport, residual_ladder
 
 
 def _shared_grid(*paths):
@@ -32,40 +31,36 @@ def chain_rule_residual(g: SmoothMap, Z: SampledPath, levels: int = 4,
     if Z.is_operator:
         raise PathError("chain rule check needs a vector path")
     Z = dyadic_prefix(Z, levels)
-    steps = dyadic_steps(Z.n_points, levels)
     gz = g.value_at(Z.values)  # (n, m)
+    scale = float(np.max(np.abs(gz)))
 
-    def _level(step):
-        Zk = Z.subsample(step)
+    def level(step, Zk):
         dg = SampledPath(Zk.times, g.jacobian_at(Zk.values))  # (nk, m, d)
         w = indefinite_integral(dg, Zk, tag=tag).values
         resid = gz[::step] - gz[0] - w
-        return Zk.mesh, float(np.max(np.linalg.norm(resid, axis=1)))
+        return Zk.mesh, float(np.max(np.linalg.norm(resid, axis=1))), scale
 
-    # levels only read shared arrays; parallel_map keeps the report order
-    out = parallel_map(_level, steps)
-    return make_residual_report(out, scale=float(np.max(np.abs(gz))))
+    return residual_ladder(Z, levels, level)
 
 
 def _premise_on_grid(g0: SmoothMap, h: TimeDependentMap, Z: SampledPath, X: SampledPath):
     """g_t(X_t) and D_x g_t(X_t) for every grid t, with the hypothesis
     integral g_t(x) = g_0(x) + sum_{s<t} h_s(x) dZ_s accumulated on the
-    full grid (left tags)."""
+    full grid (left tags). Step j only touches the rows after it: the
+    rows up to j are final once step j-1 is done."""
     times = X.times
     xv = X.values
     dz = np.diff(Z.values, axis=0)  # (n-1, w)
     g_vals = g0.value_at(xv).copy()  # (n, u)
     dg_vals = g0.jacobian_at(xv).copy()  # (n, u, d)
-    n = times.size
-    acc = np.zeros_like(g_vals)
+    acc = np.zeros_like(g_vals)  # rows j: of the sum over s < j
     acc_d = np.zeros_like(dg_vals)
-    for j in range(n - 1):
-        hv = h.value_at(times[j], xv)  # (n, u, w)
-        hj = h.space_jacobian_at(times[j], xv)  # (n, u, w, d)
-        acc = acc + np.einsum("auw,w->au", hv, dz[j])
-        acc_d = acc_d + np.einsum("auwd,w->aud", hj, dz[j])
-        g_vals[j + 1] += acc[j + 1]
-        dg_vals[j + 1] += acc_d[j + 1]
+    for j in range(times.size - 1):
+        rows = xv[j + 1 :]
+        acc = acc[1:] + np.einsum("auw,w->au", h.value_at(times[j], rows), dz[j])
+        acc_d = acc_d[1:] + np.einsum("auwd,w->aud", h.space_jacobian_at(times[j], rows), dz[j])
+        g_vals[j + 1] += acc[0]
+        dg_vals[j + 1] += acc_d[0]
     return g_vals, dg_vals
 
 
@@ -83,19 +78,17 @@ def ito_kunita_residual(g0: SmoothMap, h: TimeDependentMap, Z: SampledPath,
     if Z.is_operator or X.is_operator:
         raise PathError("ito-kunita check needs vector paths")
     Z, X = dyadic_prefix(Z, levels), dyadic_prefix(X, levels)
-    steps = dyadic_steps(X.n_points, levels)
     g_vals, dg_vals = _premise_on_grid(g0, h, Z, X)
+    scale = float(np.max(np.abs(g_vals)))
 
-    def _level(step):
-        Xk, Zk = X.subsample(step), Z.subsample(step)
+    def level(step, Zk, Xk):
         hv = np.stack([h.value_at(t, x) for t, x in zip(Xk.times, Xk.values)])  # (nk,u,w)
         w1 = indefinite_integral(SampledPath(Zk.times, hv), Zk, tag=tag).values
         w2 = indefinite_integral(SampledPath(Xk.times, dg_vals[::step]), Xk, tag=tag).values
         resid = g_vals[::step] - g_vals[0] - w1 - w2
-        return Xk.mesh, float(np.max(np.linalg.norm(resid, axis=1)))
+        return Xk.mesh, float(np.max(np.linalg.norm(resid, axis=1))), scale
 
-    out = parallel_map(_level, steps)
-    return make_residual_report(out, scale=float(np.max(np.abs(g_vals))))
+    return residual_ladder((Z, X), levels, level)
 
 
 def substitution_residual(g: SampledPath, f: SampledPath, Z: SampledPath,
@@ -113,20 +106,15 @@ def substitution_residual(g: SampledPath, f: SampledPath, Z: SampledPath,
     if interval is not None:
         g, f, Z = (p.restrict(*interval) for p in (g, f, Z))
     g, f, Z = (dyadic_prefix(p, levels) for p in (g, f, Z))
-    steps = dyadic_steps(Z.n_points, levels)
     Y = indefinite_integral(f, Z, tag=tag)
     comp = np.einsum("iuw,iwk->iuk", g.values, f.values)  # (g.f)_r, row-wise
 
-    def _level(step):
-        gk = SampledPath(Z.times[::step], g.values[::step])
-        Yk = SampledPath(Z.times[::step], Y.values[::step])
-        Zk = Z.subsample(step)
+    def level(step, gk, Zk):
+        Yk = SampledPath(Zk.times, Y.values[::step])
         compk = SampledPath(Zk.times, comp[::step])
         lhs = indefinite_integral(gk, Yk, tag=tag).values
         rhs = indefinite_integral(compk, Zk, tag=tag).values
         return (Zk.mesh, float(np.max(np.linalg.norm(lhs - rhs, axis=1))),
                 float(np.max(np.abs(lhs))))
 
-    rows = parallel_map(_level, steps)
-    out = [(m, r) for m, r, _ in rows]
-    return make_residual_report(out, scale=max(s for _, _, s in rows))
+    return residual_ladder((g, Z), levels, level)

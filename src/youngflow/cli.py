@@ -20,7 +20,6 @@ import numpy as np
 
 from . import builtins as bi
 from . import io as yio
-from ._parallel import worker_count
 from .calculus import chain_rule_residual, ito_kunita_residual, substitution_residual
 from .composition import compose_flows
 from .drivers import (DETERMINISTIC_KINDS, DeterministicSpec, FbmSpec,
@@ -50,8 +49,29 @@ def finite(text: str) -> float:
     return val
 
 
+def positive(text: str) -> float:
+    """A finite float > 0; the type of tolerance flags."""
+    if finite(text) <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return finite(text)
+
+
+def positive_int(text: str) -> int:
+    """An integer >= 1; the type of --dim and --slices."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return int(text)
+
+
 def _floats(text: str) -> np.ndarray:
     return np.array([finite(v) for v in text.split(",")])
+
+
+def _y0(args) -> np.ndarray:
+    y0 = _floats(args.y0)
+    if y0.size != args.dim:
+        raise PathError(f"--y0 needs {args.dim} numbers for --dim {args.dim}, got {y0.size}")
+    return y0
 
 
 def _params(text: str | None) -> dict:
@@ -189,7 +209,7 @@ def _cfg(args) -> SolveConfig:
 def cmd_solve(args) -> int:
     field = bi.get_field(args.field, args.dim, _params(args.params))
     X = yio.read_path_csv(args.driver)
-    Y = solve_yde(field, X, _floats(args.y0), _cfg(args))
+    Y = solve_yde(field, X, _y0(args), _cfg(args))
     yio.write_path_csv(args.out, Y)
     print(f"wrote {args.out} ({Y.n_points} points)")
     return 0
@@ -244,8 +264,7 @@ def cmd_check(args) -> int:
         else:
             _require(kind, driver=args.driver, y0=args.y0)
             X = yio.read_path_csv(args.driver)
-            rep = check_conserved_trajectory(F, field, X, _floats(args.y0),
-                                             _cfg(args), levels=args.levels)
+            rep = check_conserved_trajectory(F, field, X, _y0(args), _cfg(args), levels=args.levels)
             payload = _residual_payload(kind, rep)
     elif kind == "symmetry":
         _require(kind, map=args.map, field=args.field)
@@ -257,8 +276,7 @@ def cmd_check(args) -> int:
         else:
             _require(kind, driver=args.driver, y0=args.y0)
             X = yio.read_path_csv(args.driver)
-            rep = check_symmetry_trajectory(Phi, field, X, _floats(args.y0),
-                                            _cfg(args), levels=args.levels)
+            rep = check_symmetry_trajectory(Phi, field, X, _y0(args), _cfg(args), levels=args.levels)
             payload = _residual_payload(kind, rep)
     else:  # infinitesimal
         _require(kind, generator=args.generator, field=args.field)
@@ -278,7 +296,7 @@ def cmd_compose(args) -> int:
     g = bi.get_field(args.inner_field, args.dim, _params(args.inner_params))
     U = yio.read_path_csv(args.outer_driver)
     X = yio.read_path_csv(args.inner_driver)
-    y0 = _floats(args.y0)
+    y0 = _y0(args)
     comp, direct, rep = compose_flows(f, U, g, X, y0, _cfg(args), levels=args.levels,
                                       newton_tol=args.newton_tol)
     doc = rep.to_dict()
@@ -381,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", allow_abbrev=False, help="solve dY = f(Y) dX")
     p.add_argument("--field", required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=positive_int, required=True)
     p.add_argument("--params", help="field parameters key=value,...")
     p.add_argument("--driver", required=True)
     p.add_argument("--y0", required=True, help="comma-separated initial point")
@@ -391,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", allow_abbrev=False, help="flow map over an initial grid")
     p.add_argument("--field", required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=positive_int, required=True)
     p.add_argument("--params")
     p.add_argument("--driver", required=True)
     p.add_argument("--grid", required=True, help="lo:hi:count[;lo:hi:count...]")
@@ -402,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", allow_abbrev=False, help="calculus and symmetry checks")
     p.add_argument("kind", choices=("ito", "chain", "substitution", "conserved",
                                     "symmetry", "infinitesimal"))
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=positive_int, default=1)
     p.add_argument("--map", "--g", help="smooth map / point map builtin")
     p.add_argument("--map-params")
     p.add_argument("--time-map", default="modulated-sin")
@@ -439,10 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner-field", required=True)
     p.add_argument("--inner-params")
     p.add_argument("--inner-driver", required=True, help="X path CSV")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=positive_int, required=True)
     p.add_argument("--y0", required=True)
     p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--newton-tol", type=finite, default=1e-10)
+    p.add_argument("--newton-tol", type=positive, default=1e-10)
     _add_solver_flags(p)
     _add_common(p)
     p.set_defaults(handler=cmd_compose)
@@ -456,14 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--params")
         q.add_argument("--init", required=True, help="initial data builtin")
         q.add_argument("--init-params")
-        q.add_argument("--dim", type=int, default=1)
+        q.add_argument("--dim", type=positive_int, default=1)
         q.add_argument("--driver", required=True)
         q.add_argument("--box", required=True, help="seed box lo:hi:count[;...]")
-        q.add_argument("--newton-tol", type=finite, default=1e-10)
+        q.add_argument("--newton-tol", type=positive, default=1e-10)
         _add_solver_flags(q)
         if name == "solve":
             q.add_argument("--eval", required=True, help="evaluation box lo:hi:count[;...]")
-            q.add_argument("--slices", type=int, default=9)
+            q.add_argument("--slices", type=positive_int, default=9)
             _add_common(q, out_required=True, out_help="output directory")
         elif name == "residual":
             q.add_argument("--eval", required=True)
@@ -507,7 +525,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             args = parser.parse_args(argv + _config_argv(args.config, argv))
-        worker_count()  # validate YOUNGFLOW_THREADS eagerly
         return args.handler(args)
     except (PathError, YoungConditionError, bi.UnknownBuiltin, FileNotFoundError,
             IsADirectoryError, ValueError) as exc:

@@ -15,16 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldSpec
-from .paths import PathError, SampledPath, dyadic_prefix, dyadic_steps
-from .reports import ResidualReport, make_residual_report
-from .yde import (BlowUpError, FlowMap, NewtonError, SolveConfig, _euler_core,
-                  invert_flow, solve_flow, solve_yde)
-
-
-def _apply(F: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    # One fixed kernel for field-times-increment everywhere in this module,
-    # so degenerate routes agree bitwise.
-    return np.einsum("mdn,n->md", F, dx)
+from .paths import PathError, SampledPath
+from .reports import residual_ladder
+from .yde import (BlowUpError, FlowMap, SolveConfig, _apply, _euler_interval,
+                  invert_flow, solve_flow, solve_yde, substep_grid)
 
 
 @dataclass(frozen=True)
@@ -74,31 +68,30 @@ def pushforward_field(flow: FlowMap, s: float, f: FieldSpec,
 
 def _diagonal_flow(g: FieldSpec, X: SampledPath, seeds: np.ndarray,
                    cfg: SolveConfig) -> np.ndarray:
-    """Y_{t_i}(seeds[i]) for every i, one batched Euler sweep.
+    """Y_{t_i}(seeds[i]) for every row i, one batched Euler sweep.
 
     Row i undergoes exactly the arithmetic of a fresh solve from seeds[i]
     up to time t_i (the update kernel is row-wise), so the diagonal equals
-    per-row fresh solves bitwise.
+    per-row fresh solves bitwise. seeds may cover a prefix of the grid.
     """
-    times = X.times
-    n = times.size
-    dX = np.diff(X.values, axis=0)
+    n = len(seeds)
+    ts, dX = substep_grid(X, cfg.substeps_per_interval, n)
     B = np.array(seeds, dtype=float)
     out = np.empty_like(B)
     out[0] = B[0]
-    sub = cfg.substeps_per_interval
     for i in range(n - 1):
-        blk = B[i + 1 :]
-        dt = times[i + 1] - times[i]
-        dxs = dX[i] / sub
-        for s in range(sub):
-            ts = times[i] + dt * (s / sub)
-            blk = blk + _apply(g.value_at(ts, blk), dxs)
-        B[i + 1 :] = blk
+        B[i + 1 :] = _euler_interval(g, ts[i], dX[i], B[i + 1 :])
         out[i + 1] = B[i + 1]
         if not np.isfinite(out[i + 1]).all():
-            raise BlowUpError(float(times[i]))
+            raise BlowUpError(float(X.times[i]))
     return out
+
+
+def _combined_interval(g: FieldSpec, ts, dx, du, state, pf):
+    """Euler substeps of dZ = g(Z) dX + pf dU, pf frozen at the left end."""
+    for t in ts:
+        state = state + _apply(g.value_at(t, state), dx) + _apply(pf, du)
+    return state
 
 
 def _direct_combined(f: FieldSpec, U: SampledPath, g: FieldSpec, X: SampledPath,
@@ -108,33 +101,22 @@ def _direct_combined(f: FieldSpec, U: SampledPath, g: FieldSpec, X: SampledPath,
 
     Fast pass: warm-started Newton whose residual model advances the
     predicted flow value with the stored Jacobian of y0's trajectory.
-    All accepted preimages are then certified in one diagonal batch
-    (bitwise equal to fresh per-step solves); on failure the loop is
-    re-run from the first uncertified step with exact Newton re-solves.
+    The preimages it used (steps 0..n-2) are then certified in one
+    diagonal batch (bitwise equal to fresh per-step solves); on failure
+    the loop is re-run from the first uncertified step with exact Newton
+    re-solves.
     """
     yflow = solve_flow(g, X, y0[None, :], cfg)
     jacs = yflow.jacobians[:, 0]  # (n, d, d)
     times = X.times
     n = times.size
-    dX = np.diff(X.values, axis=0)
-    dU = np.diff(U.values, axis=0)
-    sub = cfg.substeps_per_interval
+    ts, dX = substep_grid(X, cfg.substeps_per_interval)
+    dU = substep_grid(U, cfg.substeps_per_interval)[1]
 
-    z = y0[None, :].copy()
-    x = y0[None, :].copy()
-    w = y0[None, :].copy()  # predicted Y_{t_i}(x)
+    z, x, w = (y0[None, :].copy() for _ in range(3))  # w predicts Y_{t_i}(x)
     zs = np.empty((n, y0.size))
-    xs = np.empty((n, y0.size))
+    xs = np.empty((n - 1, y0.size))
     zs[0] = z[0]
-    xs[0] = x[0]
-
-    def step_state(i, state, pf):
-        dt = times[i + 1] - times[i]
-        dxs, dus = dX[i] / sub, dU[i] / sub
-        for s in range(sub):
-            ts = times[i] + dt * (s / sub)
-            state = state + _apply(g.value_at(ts, state), dxs) + _apply(pf, dus)
-        return state
 
     for i in range(n - 1):
         r = w - z
@@ -147,47 +129,33 @@ def _direct_combined(f: FieldSpec, U: SampledPath, g: FieldSpec, X: SampledPath,
             r = w - z
         xs[i] = x[0]
         pf = (jacs[i] @ f.value_at(times[i], x[0]))[None, :, :]  # (1, d, nU)
-        z = step_state(i, z, pf)
+        z = _combined_interval(g, ts[i], dX[i], dU[i], z, pf)
         if not np.isfinite(z).all():
             raise BlowUpError(float(times[i]))
-        dt = times[i + 1] - times[i]
-        dxs = dX[i] / sub
-        for s in range(sub):
-            ts = times[i] + dt * (s / sub)
-            w = w + _apply(g.value_at(ts, w), dxs)
+        w = _euler_interval(g, ts[i], dX[i], w)
         zs[i + 1] = z[0]
-    xs[n - 1] = x[0]
 
-    # Certify every accepted preimage in one pass: true Y_{t_i}(x_i) vs z_i.
-    true_w = _diagonal_flow(g, X, xs, cfg)
-    errs = np.linalg.norm(true_w - zs, axis=1)
+    # Certify every used preimage in one pass: true Y_{t_i}(x_i) vs z_i.
+    errs = np.linalg.norm(_diagonal_flow(g, X, xs, cfg) - zs[:-1], axis=1)
     bad = np.nonzero(errs > newton_tol)[0]
     if bad.size == 0:
         return zs
-    return _direct_exact(f, U, g, X, yflow, zs, xs, int(bad[0]), cfg, newton_tol, max_iter)
+    return _direct_exact(f, g, yflow, (ts, dX, dU), zs, xs, int(bad[0]),
+                         newton_tol, max_iter)
 
 
-def _direct_exact(f, U, g, X, yflow, zs, xs, start, cfg, newton_tol, max_iter):
+def _direct_exact(f, g, yflow, grid, zs, xs, start, newton_tol, max_iter):
     """Slow path: exact Newton re-solves per step from the first bad index."""
-    times = X.times
-    n = times.size
-    dX = np.diff(X.values, axis=0)
-    dU = np.diff(U.values, axis=0)
-    sub = cfg.substeps_per_interval
-    z = zs[start].copy() if start > 0 else zs[0].copy()
+    ts, dX, dU = grid
+    times = yflow.times
+    z = zs[start].copy()
     x = xs[max(start - 1, 0)].copy()
-    for i in range(start, n - 1):
+    for i in range(start, times.size - 1):
         x = invert_flow(yflow, float(times[i]), z,
                         newton_tol=newton_tol, max_iter=max_iter, initial_guess=x)
         xs[i] = x
         pf = (yflow.jacobians[i, 0] @ f.value_at(times[i], x))[None, :, :]
-        state = z[None, :]
-        dt = times[i + 1] - times[i]
-        dxs, dus = dX[i] / sub, dU[i] / sub
-        for s in range(sub):
-            ts = times[i] + dt * (s / sub)
-            state = state + _apply(g.value_at(ts, state), dxs) + _apply(pf, dus)
-        z = state[0]
+        z = _combined_interval(g, ts[i], dX[i], dU[i], z[None, :], pf)[0]
         if not np.isfinite(z).all():
             raise BlowUpError(float(times[i]))
         zs[i + 1] = z
@@ -208,18 +176,15 @@ def compose_flows(f: FieldSpec, U: SampledPath, g: FieldSpec, X: SampledPath, y0
     if f.in_dim != g.in_dim:
         raise PathError("f and g must act on the same state space")
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    U, X = dyadic_prefix(U, levels), dyadic_prefix(X, levels)
-    steps = dyadic_steps(X.n_points, levels)
-    out = []
-    comp_path = dir_path = None
-    scale = 1.0
-    for step in steps:
-        Uk, Xk = U.subsample(step), X.subsample(step)
+    finest = []
+
+    def level(step, Uk, Xk):
         V = solve_yde(f, Uk, y0, cfg)
         comp = _diagonal_flow(g, Xk, V.values, cfg)
         dirv = _direct_combined(f, Uk, g, Xk, y0, cfg, newton_tol, newton_max_iter)
-        comp_path = SampledPath(Xk.times, comp)
-        dir_path = SampledPath(Xk.times, dirv)
-        scale = max(scale, float(np.max(np.abs(comp))))
-        out.append((Xk.mesh, float(np.max(np.linalg.norm(comp - dirv, axis=1)))))
-    return comp_path, dir_path, make_residual_report(out, scale=scale)
+        finest[:] = [SampledPath(Xk.times, comp), SampledPath(Xk.times, dirv)]
+        return (Xk.mesh, float(np.max(np.linalg.norm(comp - dirv, axis=1))),
+                float(np.max(np.abs(comp))))
+
+    rep = residual_ladder((U, X), levels, level)
+    return finest[0], finest[1], rep

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,10 +144,6 @@ def gen_fbm(spec: FbmSpec) -> SampledPath:
     return SampledPath(times, values)
 
 
-def fbm_metadata(spec: FbmSpec) -> dict:
-    return {"spec": {**asdict(spec), "kind": "fbm"}, "generator_version": GENERATOR_VERSION}
-
-
 DETERMINISTIC_KINDS = ("linear", "power", "sine", "polygonal")
 
 
@@ -200,9 +196,3 @@ def gen_deterministic(spec: DeterministicSpec) -> SampledPath:
         )
     return SampledPath(times, values)
 
-
-def deterministic_metadata(spec: DeterministicSpec) -> dict:
-    meta = {k: v for k, v in asdict(spec).items() if k != "vertices" or v}
-    if "vertices" in meta:
-        meta["vertices"] = [list(np.atleast_1d(v)) for v in meta["vertices"]]
-    return {"spec": {**meta, "kind": spec.kind}, "generator_version": GENERATOR_VERSION}

@@ -37,16 +37,13 @@ class FieldSpec:
 
     value(t, y): y (..., d) -> (..., d, n)
     jacobian(t, y): (..., d, n, d), analytic or finite differences.
-    holder_exponent is metadata for regularity bookkeeping only.
     """
 
     in_dim: int
     driver_dim: int
     value: Callable
     jacobian: Callable | None = None
-    hessian: Callable | None = None
     fd_step: float = DEFAULT_FD_STEP
-    holder_exponent: float | None = None
 
     def value_at(self, t: float, y: np.ndarray) -> np.ndarray:
         return np.asarray(self.value(t, y), dtype=float)
@@ -68,7 +65,6 @@ class FieldSpec:
             value=val,
             jacobian=jac,
             fd_step=self.fd_step,
-            holder_exponent=self.holder_exponent,
         )
 
     @staticmethod
@@ -108,7 +104,6 @@ class SmoothMap:
     out_dim: int
     value: Callable
     jacobian: Callable | None = None
-    hessian: Callable | None = None
     fd_step: float = DEFAULT_FD_STEP
 
     def value_at(self, y: np.ndarray) -> np.ndarray:

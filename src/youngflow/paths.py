@@ -186,15 +186,6 @@ def dyadic_prefix(path: "SampledPath", levels: int) -> "SampledPath":
     return SampledPath(path.times[: n_int + 1], path.values[: n_int + 1])
 
 
-def stack_channels(paths) -> SampledPath:
-    """Join scalar/vector paths on a common grid into one vector path."""
-    first = paths[0]
-    for p in paths[1:]:
-        if p.is_operator or not np.array_equal(p.times, first.times):
-            raise PathError("stack_channels needs vector paths on one grid")
-    return SampledPath(first.times, np.concatenate([p.values for p in paths], axis=1))
-
-
 @dataclass(frozen=True)
 class Partition:
     """Strictly increasing grid indices including both interval ends."""

@@ -20,9 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .fields import DEFAULT_FD_STEP, SmoothMap, _fd_last_axis
-from .paths import PathError, SampledPath, dyadic_prefix, dyadic_steps
-from .reports import (CheckReport, ResidualReport, make_check_report,
-                      make_residual_report)
+from .paths import PathError, SampledPath, dyadic_prefix
+from .reports import CheckReport, ResidualReport, residual_ladder
+from .yde import _store_step, substep_grid
 
 
 _NEAREST_CHUNK_BYTES = 4 * 2**20  # row block of the cold-start distance array
@@ -181,48 +181,29 @@ class CharTriple:
 
 def _char_core(H: HamiltonianSpec, X: SampledPath, A0, B0, C0, substeps: int = 1):
     """Batched Euler for the characteristic system over all seeds."""
-    times = X.times
-    n = times.size
-    dX = np.diff(X.values, axis=0)
+    n = X.n_points
+    ts, dX = substep_grid(X, substeps)
     a = np.array(np.atleast_2d(A0), dtype=float)
     b = np.array(np.atleast_1d(B0), dtype=float)
     c = np.array(np.atleast_2d(C0), dtype=float)
     m = a.shape[0]
-    A = np.empty((n, m, a.shape[1]))
-    B = np.empty((n, m))
-    C = np.empty_like(A)
-    A[0], B[0], C[0] = a, b, c
+    hist = [np.empty((n, m, a.shape[1])), np.empty((n, m)), np.empty((n, m, a.shape[1]))]
+    hist[0][0], hist[1][0], hist[2][0] = a, b, c
     alive_idx = np.full(m, n - 1, dtype=int)
     alive = np.ones(m, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n - 1):
-            dt = times[i + 1] - times[i]
-            dxs = dX[i] / substeps
-            for s in range(substeps):
-                ts = times[i] + dt * (s / substeps)
-                da = np.zeros_like(a)
-                db = np.zeros_like(b)
-                dc = np.zeros_like(c)
+            for t in ts[i]:
+                da, db, dc = np.zeros_like(a), np.zeros_like(b), np.zeros_like(c)
                 for j, comp in enumerate(H.components):
-                    fv = comp.value_at(ts, a, b, c)
-                    fp = comp.dp_at(ts, a, b, c)
-                    fx = comp.dx_at(ts, a, b, c)
-                    fu = comp.du_at(ts, a, b, c)
-                    da = da - fp * dxs[j]
-                    db = db + (fv - np.einsum("md,md->m", fp, c)) * dxs[j]
-                    dc = dc + (fx + fu[:, None] * c) * dxs[j]
+                    fv, fp = comp.value_at(t, a, b, c), comp.dp_at(t, a, b, c)
+                    fx, fu = comp.dx_at(t, a, b, c), comp.du_at(t, a, b, c)
+                    da = da - fp * dX[i, j]
+                    db = db + (fv - np.einsum("md,md->m", fp, c)) * dX[i, j]
+                    dc = dc + (fx + fu[:, None] * c) * dX[i, j]
                 a, b, c = a + da, b + db, c + dc
-            if not np.isfinite(a.sum() + b.sum() + c.sum()):
-                bad = alive & ~(np.isfinite(a).all(axis=1) & np.isfinite(b)
-                                & np.isfinite(c).all(axis=1))
-                alive_idx[bad] = i
-                alive &= ~bad
-            if not alive.all():
-                a = np.where(alive[:, None], a, A[i])
-                b = np.where(alive, b, B[i])
-                c = np.where(alive[:, None], c, C[i])
-            A[i + 1], B[i + 1], C[i + 1] = a, b, c
-    return A, B, C, alive_idx
+            a, b, c = _store_step(hist, i, [a, b, c], alive, alive_idx)
+    return (*hist, alive_idx)
 
 
 def solve_characteristics(H: HamiltonianSpec, X: SampledPath, init,
@@ -479,7 +460,6 @@ def pde_residual(sol: SolutionField, H: HamiltonianSpec, X: SampledPath,
     if not np.array_equal(sol.times, X.times):
         raise PathError("pde_residual needs the solution on the driver grid")
     X = dyadic_prefix(X, levels)
-    steps = dyadic_steps(X.n_points, levels)
     n, k = X.n_points, sol.u.shape[1]
     G = np.zeros((H.n_drivers, n, k))
     pts = sol.points
@@ -491,16 +471,16 @@ def pde_residual(sol: SolutionField, H: HamiltonianSpec, X: SampledPath,
     always_valid = sol.valid[:n].all(axis=0)
     if not always_valid.any():
         raise CausticError("no evaluation point stays valid over the horizon")
-    out = []
-    for step in steps:
+    scale = float(np.nanmax(np.abs(sol.u)))
+
+    def level(step, Xk):
         tsel = np.arange(0, n, step)
-        dXk = np.diff(X.values[tsel], axis=0)  # (nk-1, ndrv)
-        incr = np.einsum("jik,ij->ik", G[:, tsel[:-1], :], dXk)
+        incr = np.einsum("jik,ij->ik", G[:, tsel[:-1], :], np.diff(Xk.values, axis=0))
         W = np.concatenate([np.zeros((1, k)), np.cumsum(incr, axis=0)])
         resid = sol.u[tsel] - phi0[None, :] - W
-        sup = float(np.max(np.abs(resid[:, always_valid])))
-        out.append((float(np.max(np.diff(X.times[tsel]))), sup))
-    return make_residual_report(out, scale=float(np.nanmax(np.abs(sol.u))))
+        return Xk.mesh, float(np.max(np.abs(resid[:, always_valid]))), scale
+
+    return residual_ladder(X, levels, level)
 
 
 def verify_inverse_flow_equation(field: CharField, H: HamiltonianSpec, X: SampledPath,
@@ -514,14 +494,8 @@ def verify_inverse_flow_equation(field: CharField, H: HamiltonianSpec, X: Sample
     its sub-grid. Points must stay pre-fold over the whole horizon.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    block = 2 ** (levels - 1)
-    n_int = ((field.times.size - 1) // block) * block
-    if n_int < block:
-        raise PathError(
-            f"{field.times.size - 1} intervals cannot support {levels} dyadic levels"
-        )
-    n = n_int + 1
-    k = pts.shape[0]
+    X = dyadic_prefix(X, levels)
+    n, k = X.n_points, pts.shape[0]
     P = np.empty((n, k, field.box.dim))
     SJ = np.empty((H.n_drivers, n, k, field.box.dim))
     x_prev = None
@@ -540,18 +514,16 @@ def verify_inverse_flow_equation(field: CharField, H: HamiltonianSpec, X: Sample
         for j, comp in enumerate(H.components):
             fp = comp.dp_at(field.times[i], pts, bq, cq)
             SJ[j, i] = np.einsum("kde,ke->kd", jinv, fp)
-    steps = dyadic_steps(n, levels)
-    out = []
     scale = float(np.max(np.abs(P)))
-    for step in steps:
+
+    def level(step, Xk):
         tsel = np.arange(0, n, step)
-        dXk = np.diff(X.values[tsel], axis=0)
-        incr = np.einsum("jikd,ij->ikd", SJ[:, tsel[:-1]], dXk)
+        incr = np.einsum("jikd,ij->ikd", SJ[:, tsel[:-1]], np.diff(Xk.values, axis=0))
         W = np.concatenate([np.zeros((1, k, field.box.dim)), np.cumsum(incr, axis=0)])
         resid = (P[tsel] - P[0][None]) - W
-        out.append((float(np.max(np.diff(field.times[tsel]))),
-                    float(np.max(np.linalg.norm(resid, axis=2)))))
-    return make_residual_report(out, scale=scale)
+        return Xk.mesh, float(np.max(np.linalg.norm(resid, axis=2))), scale
+
+    return residual_ladder(X, levels, level)
 
 
 def verify_compatibility(field: CharField, tol: float = 1e-3) -> CheckReport:

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .paths import SampledPath, dyadic_prefix, dyadic_steps
+
 # A residual sequence counts as converged when it decreases monotonically
 # up to this slack factor between consecutive dyadic levels.
 CONVERGENCE_SLACK = 1.1
@@ -62,6 +64,22 @@ def make_residual_report(levels, scale: float = 1.0) -> ResidualReport:
         for k in range(len(resid) - 1)
     )
     return ResidualReport(levels=levels, converged=ok and resid[-1] < resid[0])
+
+
+def residual_ladder(paths, levels: int, level_fn) -> ResidualReport:
+    """Residual of an identity on a dyadic ladder, coarse to fine.
+
+    paths, one SampledPath or a tuple of them on one grid, are cut to
+    their dyadic prefix. level_fn(step, *subsampled) gets every step-th
+    grid point of each and returns the level's (mesh, residual, scale)
+    row; the largest scale sets the exact floor.
+    """
+    if isinstance(paths, SampledPath):
+        paths = (paths,)
+    paths = [dyadic_prefix(p, levels) for p in paths]
+    rows = [level_fn(step, *(p.subsample(step) for p in paths))
+            for step in dyadic_steps(paths[0].n_points, levels)]
+    return make_residual_report([row[:2] for row in rows], scale=max(row[2] for row in rows))
 
 
 @dataclass(frozen=True)

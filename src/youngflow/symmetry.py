@@ -7,10 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldSpec, PointMap, ScalarObservable, as_single_field
-from ._parallel import parallel_map
 from .integrate import indefinite_integral
-from .paths import PathError, SampledPath, dyadic_prefix, dyadic_steps
-from .reports import CheckReport, ResidualReport, make_check_report, make_residual_report
+from .paths import PathError, SampledPath
+from .reports import CheckReport, ResidualReport, make_check_report, residual_ladder
 from .yde import SolveConfig, solve_flow, solve_yde, _euler_core
 
 # Algebraic identities are held to a tighter tolerance when all
@@ -60,20 +59,14 @@ def check_conserved_trajectory(F: ScalarObservable, fields, X: SampledPath, y0,
                                levels: int = 4) -> ResidualReport:
     """sup_t || F(Y_t) - F(Y_0) || along solves at each dyadic level."""
     f = as_single_field(fields)
-    X = dyadic_prefix(X, levels)
-    steps = dyadic_steps(X.n_points, levels)
 
-    def _level(step):
-        Xk = X.subsample(step)
+    def level(step, Xk):
         Y = solve_yde(f, Xk, y0, cfg)
         fy = F.value_at(Y.values)
         return (Xk.mesh, float(np.max(np.linalg.norm(fy - fy[0], axis=1))),
                 float(np.max(np.abs(fy))))
 
-    # levels only read shared arrays; parallel_map keeps the report order
-    rows = parallel_map(_level, steps)
-    out = [(m, r) for m, r, _ in rows]
-    return make_residual_report(out, scale=max(1.0, *(s for _, _, s in rows)))
+    return residual_ladder(X, levels, level)
 
 
 def propagate_observable(F: ScalarObservable, fields, X: SampledPath, y0,
@@ -85,23 +78,21 @@ def propagate_observable(F: ScalarObservable, fields, X: SampledPath, y0,
     residual against direct evaluation per dyadic level.
     """
     f = as_single_field(fields)
-    X = dyadic_prefix(X, levels)
-    steps = dyadic_steps(X.n_points, levels)
-    def _level(step):
-        Xk = X.subsample(step)
+    finest = []
+
+    def level(step, Xk):
         Y = solve_yde(f, Xk, y0, cfg)
         fy = F.value_at(Y.values)  # (n, k)
         lifted = np.einsum("nkd,ndj->nkj", F.jacobian_at(Y.values),
                            f.value_at(0.0, Y.values))  # (n, k, ndrv)
         w = indefinite_integral(SampledPath(Xk.times, lifted), Xk, tag=tag).values
         rhs = fy[0] + w
+        finest[:] = [SampledPath(Xk.times, rhs)]
         return (Xk.mesh, float(np.max(np.linalg.norm(fy - rhs, axis=1))),
-                float(np.max(np.abs(fy))), SampledPath(Xk.times, rhs))
+                float(np.max(np.abs(fy))))
 
-    rows = parallel_map(_level, steps)
-    out = [(m, r) for m, r, _, _ in rows]
-    scale = max(1.0, *(s for _, _, s, _ in rows))
-    return rows[-1][3], make_residual_report(out, scale=scale)
+    rep = residual_ladder(X, levels, level)
+    return finest[0], rep
 
 
 def check_symmetry_map(Phi: PointMap, fields, dom: SampleDomain,
@@ -120,21 +111,16 @@ def check_symmetry_trajectory(Phi: PointMap, fields, X: SampledPath, y0,
                               levels: int = 4) -> ResidualReport:
     """sup_t || Phi(Y_t(y0)) - Y_t(Phi(y0)) || per dyadic level."""
     f = as_single_field(fields)
-    X = dyadic_prefix(X, levels)
-    steps = dyadic_steps(X.n_points, levels)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
 
-    def _level(step):
-        Xk = X.subsample(step)
+    def level(step, Xk):
         Y = solve_yde(f, Xk, y0, cfg)
         Yphi = solve_yde(f, Xk, Phi.value_at(y0), cfg)
         mapped = Phi.value_at(Y.values)
         return (Xk.mesh, float(np.max(np.linalg.norm(mapped - Yphi.values, axis=1))),
                 float(np.max(np.abs(mapped))))
 
-    rows = parallel_map(_level, steps)
-    out = [(m, r) for m, r, _ in rows]
-    return make_residual_report(out, scale=max(1.0, *(s for _, _, s in rows)))
+    return residual_ladder(X, levels, level)
 
 
 def _column_fields(fields):

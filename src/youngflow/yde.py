@@ -28,12 +28,9 @@ class NewtonError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    scheme: str = "euler"
     substeps_per_interval: int = 1
 
     def __post_init__(self):
-        if self.scheme != "euler":
-            raise PathError(f"unknown scheme {self.scheme!r}; only 'euler' is implemented")
         if self.substeps_per_interval < 1:
             raise PathError("substeps_per_interval must be >= 1")
 
@@ -47,58 +44,81 @@ def _check_compat(field: FieldSpec, X: SampledPath):
         )
 
 
+def substep_grid(X: SampledPath, sub: int, n: int | None = None):
+    """Left times (n-1, sub) and increments (n-1, dim) of every Euler substep.
+
+    Substep s of interval i starts at t_i + (t_{i+1} - t_i) (s / sub) and
+    advances the driver by (X_{i+1} - X_i) / sub: the driver is linear
+    between samples. n cuts the grid to its first n points.
+    """
+    times = X.times[:n]
+    ts = times[:-1, None] + np.diff(times)[:, None] * (np.arange(sub) / sub)
+    return ts, np.diff(X.values[:n], axis=0) / sub
+
+
+def _apply(F: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    # One fixed kernel for field-times-increment in every Euler sweep, so
+    # degenerate routes agree bitwise.
+    return np.einsum("mdn,n->md", F, dx)
+
+
+def _euler_interval(field: FieldSpec, ts, dx: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euler substeps at left times ts, each advancing the driver by dx."""
+    for t in ts:
+        y = y + _apply(field.value_at(t, y), dx)
+    return y
+
+
+def _store_step(hist: list, i: int, new: list, alive: np.ndarray, alive_idx: np.ndarray) -> list:
+    """Write step i+1 of each (n, m, ...) history from new, freezing rows.
+
+    A row that turns non-finite in any array on interval i dies there
+    (alive_idx = i, alive cleared) and keeps its step-i values from then
+    on. Returns the arrays to continue from.
+    """
+    if not np.isfinite(sum(v.sum() for v in new)):  # one cheap pass while all is finite
+        ok = np.logical_and.reduce(
+            [np.isfinite(v.reshape(v.shape[0], -1)).all(axis=1) for v in new])
+        bad = alive & ~ok
+        alive_idx[bad] = i
+        alive &= ~bad
+    if not alive.all():
+        new = [np.where(alive.reshape((-1,) + (1,) * (v.ndim - 1)), v, h[i])
+               for v, h in zip(new, hist)]
+    for v, h in zip(new, hist):
+        h[i + 1] = v
+    return new
+
+
 def _euler_core(field: FieldSpec, X: SampledPath, y0s: np.ndarray,
                 cfg: SolveConfig, with_jacobian: bool, stop_index: int | None = None):
     """Batched explicit Euler over the driver grid.
 
-    Y_{i+1} = Y_i + f(t_i, Y_i) (X_{t_{i+1}} - X_{t_i}); substeps split each
-    increment evenly (the driver is linear between samples). Rows that turn
-    non-finite are frozen at their last valid grid state and recorded in
-    alive_idx. Returns (states (n, m, d), jacobians or None, alive_idx (m,)).
+    Y_{i+1} = Y_i + f(t_i, Y_i) (X_{t_{i+1}} - X_{t_i}), over the substeps
+    of substep_grid. Rows that turn non-finite are frozen at their last
+    valid grid state and recorded in alive_idx. Returns (states (n, m, d),
+    jacobians or None, alive_idx (m,)).
     """
-    times = X.times
-    n = times.size if stop_index is None else stop_index + 1
-    dX = np.diff(X.values[:n], axis=0)
+    n = X.n_points if stop_index is None else stop_index + 1
+    ts, dx = substep_grid(X, cfg.substeps_per_interval, n)
     y = np.array(np.atleast_2d(y0s), dtype=float)
     m, d = y.shape
-    states = np.empty((n, m, d))
-    states[0] = y
-    jac = None
-    jacs = None
-    if with_jacobian:
-        jac = np.broadcast_to(np.eye(d), (m, d, d)).copy()
-        jacs = np.empty((n, m, d, d))
-        jacs[0] = jac
+    cur = [y] + ([np.broadcast_to(np.eye(d), (m, d, d)).copy()] if with_jacobian else [])
+    hist = [np.empty((n,) + v.shape) for v in cur]
+    for h, v in zip(hist, cur):
+        h[0] = v
     alive_idx = np.full(m, n - 1, dtype=int)
     alive = np.ones(m, dtype=bool)
-    sub = cfg.substeps_per_interval
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n - 1):
-            dt = times[i + 1] - times[i]
-            dxs = dX[i] / sub
-            for s in range(sub):
-                ts = times[i] + dt * (s / sub)
-                f = field.value_at(ts, y)
+            y, jac = cur[0], cur[-1]
+            for t in ts[i]:
                 if with_jacobian:
-                    df = field.jacobian_at(ts, y)
-                    step_lin = np.einsum("mdnk,n->mdk", df, dxs)
+                    step_lin = np.einsum("mdnk,n->mdk", field.jacobian_at(t, y), dx[i])
                     jac = jac + np.einsum("mde,mek->mdk", step_lin, jac)
-                y = y + np.einsum("mdn,n->md", f, dxs)
-            bad = alive & ~np.isfinite(y).all(axis=1)
-            if with_jacobian:
-                bad |= alive & ~np.isfinite(jac).all(axis=(1, 2))
-            if np.any(bad):
-                alive_idx[bad] = i
-                alive &= ~bad
-                y[bad] = states[i][bad]
-                if with_jacobian:
-                    jac[bad] = jacs[i][bad]
-            states[i + 1] = np.where(alive[:, None], y, states[i])
-            y = states[i + 1].copy()
-            if with_jacobian:
-                jacs[i + 1] = np.where(alive[:, None, None], jac, jacs[i])
-                jac = jacs[i + 1].copy()
-    return states, jacs, alive_idx
+                y = y + _apply(field.value_at(t, y), dx[i])
+            cur = _store_step(hist, i, [y, jac] if with_jacobian else [y], alive, alive_idx)
+    return hist[0], (hist[1] if with_jacobian else None), alive_idx
 
 
 def solve_yde(field: FieldSpec, X: SampledPath, y0, cfg: SolveConfig | None = None) -> SampledPath:
@@ -142,17 +162,8 @@ class FlowMap:
     def index_of(self, t: float) -> int:
         return self.driver.index_of(t)
 
-    def state_at(self, t: float) -> np.ndarray:
-        return self.states[self.index_of(t)]
-
-    def jacobian_at(self, t: float) -> np.ndarray:
-        return self.jacobians[self.index_of(t)]
-
     def trajectory(self, i: int) -> SampledPath:
         return SampledPath(self.times, self.states[:, i, :])
-
-    def jacobian_path(self, i: int) -> SampledPath:
-        return SampledPath(self.times, self.jacobians[:, i, :, :])
 
     def evaluate(self, x, stop_index: int | None = None) -> np.ndarray:
         """Fresh Euler evaluation of the flow from new initial points x.

@@ -14,7 +14,8 @@ from youngflow import (
     ito_kunita_residual,
     substitution_residual,
 )
-from youngflow.builtins import get_smooth_map
+import youngflow.calculus as calculus
+from youngflow.builtins import get_smooth_map, get_time_map
 
 
 def _zero_map(dim, out=1):
@@ -157,14 +158,23 @@ def test_substitution_rejects_vector_integrands():
         substitution_residual(vec, vec, Z)
 
 
-def test_residual_ladder_independent_of_worker_count(monkeypatch):
-    # parallel_map preserves level order, so the report is bitwise stable
-    Z = gen_fbm(FbmSpec(hurst=0.8, n_points=257, seed=7))
-    g = get_smooth_map("exp", 1)
-    monkeypatch.delenv("YOUNGFLOW_THREADS", raising=False)
-    ref = chain_rule_residual(g, Z, levels=4)
-    monkeypatch.setenv("YOUNGFLOW_THREADS", "3")
-    rep = chain_rule_residual(g, Z, levels=4)
-    assert np.array_equal(rep.residuals, ref.residuals)
-    assert np.array_equal(rep.meshes, ref.meshes)
-    assert rep.converged == ref.converged
+def test_ito_premise_matches_full_grid_reference():
+    # written out: the hypothesis integral accumulated at every row on
+    # every step; the library skips the rows a step can no longer change
+    Z = gen_fbm(FbmSpec(hurst=0.75, n_points=129, seed=3))
+    a = gen_fbm(FbmSpec(hurst=0.75, n_points=129, seed=4))
+    b = gen_fbm(FbmSpec(hurst=0.75, n_points=129, seed=5))
+    X = SampledPath(a.times, np.column_stack([a.values[:, 0], b.values[:, 0]]))
+    g0, h = get_smooth_map("exp", 2), get_time_map("modulated-sin", 2)
+    g_ref, dg_ref = g0.value_at(X.values).copy(), g0.jacobian_at(X.values).copy()
+    acc, acc_d = np.zeros_like(g_ref), np.zeros_like(dg_ref)
+    dz = np.diff(Z.values, axis=0)
+    for j in range(X.n_points - 1):
+        acc = acc + np.einsum("auw,w->au", h.value_at(X.times[j], X.values), dz[j])
+        acc_d = acc_d + np.einsum("auwd,w->aud",
+                                  h.space_jacobian_at(X.times[j], X.values), dz[j])
+        g_ref[j + 1] += acc[j + 1]
+        dg_ref[j + 1] += acc_d[j + 1]
+    g_vals, dg_vals = calculus._premise_on_grid(g0, h, Z, X)
+    assert np.array_equal(g_vals, g_ref)
+    assert np.array_equal(dg_vals, dg_ref)

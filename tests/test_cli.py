@@ -83,7 +83,8 @@ def test_cli_import_leaves_scipy_out():
     src = os.path.dirname(os.path.dirname(youngflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, youngflow.cli; sys.exit('scipy' in sys.modules)"
+    code = ("import sys, youngflow.cli; "
+            "sys.exit('scipy' in sys.modules or 'concurrent.futures' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -223,26 +224,6 @@ def test_integrate_young_condition_exits_two(capsys, lin17_csv):
     assert rc == 2
 
 
-def test_bad_thread_env_exits_two(capsys, monkeypatch, lin17_csv):
-    monkeypatch.setenv("YOUNGFLOW_THREADS", "banana")
-    rc = main(["pvar", "--p", "1.5", "--path", lin17_csv])
-    capsys.readouterr()
-    assert rc == 2
-
-
-def test_thread_env_accepted_and_deterministic(capsys, monkeypatch, fbm_csv):
-    argv = ["check", "chain", "--g", "square", "--path", fbm_csv, "--levels", "4"]
-    monkeypatch.delenv("YOUNGFLOW_THREADS", raising=False)
-    rc, out = run(capsys, argv)
-    ref = json.loads(out)
-    monkeypatch.setenv("YOUNGFLOW_THREADS", "2")
-    rc2, out2 = run(capsys, argv)
-    doc = json.loads(out2)
-    assert rc == rc2 == 0
-    ref.pop("meta"), doc.pop("meta")
-    assert doc == ref
-
-
 @pytest.mark.parametrize("argv", [
     ["pvar", "--p", "nan", "--path", "LIN"],
     ["pvar", "--p", "inf", "--path", "LIN"],
@@ -294,6 +275,52 @@ def test_pde_eval_axis_count_must_match_dim(capsys, workdir, lin17_csv):
                "--eval=-1:1:5;-1:1:5", "-o", str(workdir / "never_solve")])
     assert rc == 2 and not os.path.exists(workdir / "never_solve")
     assert "--box needs 2 axes for --dim 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--field", "scaling", "--dim", "2", "--driver", "LIN", "--y0", "1",
+      "-o", "OUT"], "--y0"),
+    (["solve", "--field", "scaling", "--dim", "1", "--driver", "LIN", "--y0", "1,2,3",
+      "-o", "OUT"], "--y0"),
+    (["solve", "--field", "scaling", "--dim", "0", "--driver", "LIN", "--y0", "1",
+      "-o", "OUT"], "--dim"),
+    (["check", "conserved", "--field", "rotation", "--dim", "2", "--mode", "trajectory",
+      "--driver", "LIN", "--y0", "1", "-o", "OUT"], "--y0"),
+    (["check", "symmetry", "--map", "rotation", "--field", "rotation", "--dim", "2",
+      "--mode", "trajectory", "--driver", "LIN", "--y0", "1,2,3", "-o", "OUT"], "--y0"),
+    (["check", "chain", "--g", "square", "--path", "LIN", "--dim", "0", "-o", "OUT"],
+     "--dim"),
+    (["compose", "--outer-field", "scaling", "--outer-driver", "LIN", "--inner-field",
+      "scaling", "--inner-driver", "LIN", "--dim", "1", "--y0", "1,2", "-o", "OUT"], "--y0"),
+    (["compose", "--outer-field", "scaling", "--outer-driver", "LIN", "--inner-field",
+      "scaling", "--inner-driver", "LIN", "--dim", "0", "--y0", "1", "-o", "OUT"], "--dim"),
+    (["compose", "--outer-field", "scaling", "--outer-driver", "LIN", "--inner-field",
+      "scaling", "--inner-driver", "LIN", "--dim", "1", "--y0", "1", "--newton-tol", "0",
+      "-o", "OUT"], "--newton-tol"),
+    (["pde", "residual", "--hamiltonian", "transport-k", "--init", "sin", "--driver", "LIN",
+      "--box=-3:3:11", "--eval=-1:1:5", "--newton-tol", "-1", "-o", "OUT"], "--newton-tol"),
+])
+def test_bad_dim_y0_or_tolerance_exits_two(capsys, workdir, lin17_csv, argv, flag):
+    out = workdir / "never_shape"
+    subs = {"LIN": lin17_csv, "OUT": str(out)}
+    try:
+        rc = main([subs.get(a, a) for a in argv])
+    except SystemExit as err:  # argparse rejects typed flags itself
+        rc = err.code
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_pde_solve_zero_slices_exits_two_before_writing(capsys, workdir, lin17_csv):
+    out = workdir / "never_slices"
+    with pytest.raises(SystemExit) as err:
+        main(["pde", "solve", "--hamiltonian", "transport-k", "--init", "sin",
+              "--driver", lin17_csv, "--box=-3:3:11", "--eval=-1:1:5",
+              "--slices", "0", "-o", str(out)])
+    assert err.value.code == 2
+    assert "--slices" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_missing_required_flag_exits_two(capsys, lin17_csv):

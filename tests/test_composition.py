@@ -16,6 +16,7 @@ from youngflow import (
     solve_flow,
     solve_yde,
 )
+import youngflow.composition as composition
 from youngflow.builtins import get_field
 
 
@@ -90,6 +91,22 @@ def test_routes_converge_on_rough_drivers():
     assert rep.final_residual < rep.residuals[0]
     assert comp.n_points == n and direct.n_points == n
     assert all(a > b for a, b in zip(rep.meshes, rep.meshes[1:]))
+
+
+def test_linear_inner_field_never_takes_the_slow_path(monkeypatch):
+    # with a linear inner flow the fast pass predicts Y_t(x) exactly, so
+    # every preimage it used is certified and no step is re-solved
+    entered = []
+    real = composition._direct_exact
+    monkeypatch.setattr(composition, "_direct_exact",
+                        lambda *a, **k: entered.append(1) or real(*a, **k))
+    U = gen_fbm(FbmSpec(hurst=0.75, n_points=257, seed=11))
+    X = gen_fbm(FbmSpec(hurst=0.75, n_points=257, seed=12))
+    g = get_field("scaling", dim=1)
+    for f in (g, get_field("square", dim=1)):
+        _, _, rep = compose_flows(f, U, g, X, 0.3, levels=3)
+        assert rep.converged
+    assert entered == []
 
 
 def test_grid_and_dimension_validation():

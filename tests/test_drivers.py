@@ -17,12 +17,9 @@ from youngflow import (
 )
 from youngflow.drivers import (
     DEFAULT_MAX_POINTS,
-    GENERATOR_VERSION,
     GenerationError,
     circulant_eigenvalues,
-    deterministic_metadata,
     fbm_increment_covariance,
-    fbm_metadata,
     fbm_value_covariance,
     fgn_autocovariance,
 )
@@ -165,15 +162,6 @@ def test_fbm_p_variation_threshold():
         assert length[1] / length[0] >= 1.35
 
 
-def test_fbm_metadata_round():
-    spec = FbmSpec(hurst=0.75, n_points=64, seed=5)
-    meta = fbm_metadata(spec)
-    assert meta["generator_version"] == GENERATOR_VERSION
-    assert meta["spec"]["kind"] == "fbm"
-    assert meta["spec"]["hurst"] == 0.75
-    assert meta["spec"]["seed"] == 5
-
-
 # ------------------------------------------------------------ deterministic
 
 
@@ -220,10 +208,3 @@ def test_deterministic_validation():
     with pytest.raises(PathError):
         DeterministicSpec(kind="polygonal", n_points=8, vertices=(1.0,))
 
-
-def test_deterministic_metadata():
-    spec = DeterministicSpec(kind="sine", n_points=16, amplitude=0.5, frequency=2.0)
-    meta = deterministic_metadata(spec)
-    assert meta["spec"]["kind"] == "sine"
-    assert meta["spec"]["frequency"] == 2.0
-    assert meta["generator_version"] == GENERATOR_VERSION

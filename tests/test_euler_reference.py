@@ -1,0 +1,332 @@
+"""The Euler sweeps against a written-out reference of their arithmetic.
+
+The reference below spells out, loop by loop, how every Euler sweep of
+the package splits a driver interval into substeps: substep s of
+interval i starts at t_i + (t_{i+1} - t_i) (s / sub) and advances the
+driver by (X_{i+1} - X_i) / sub. The library computes those substeps
+once per driver and shares one kernel between the flow solver, the
+composition routes and the characteristic core; these tests pin that it
+computes the same bits, for one substep and for several.
+"""
+
+import numpy as np
+import pytest
+
+import youngflow.composition as composition
+import youngflow.pde as pde
+from youngflow import (
+    DeterministicSpec,
+    FbmSpec,
+    FieldSpec,
+    HamiltonianSpec,
+    SampledPath,
+    ScalarHamiltonian,
+    SolveConfig,
+    compose_flows,
+    gen_deterministic,
+    gen_fbm,
+    invert_flow,
+    make_residual_report,
+    solve_flow,
+    solve_yde,
+)
+from youngflow.builtins import get_field
+
+# ------------------------------------------------------------- reference
+
+
+def _ref_apply(F, dx):
+    return np.einsum("mdn,n->md", F, dx)
+
+
+def _ref_euler(field, X, y0s, sub, with_jacobian=True):
+    """States, Jacobians and last alive index, rows frozen once non-finite."""
+    times = X.times
+    n = times.size
+    dX = np.diff(X.values, axis=0)
+    y = np.array(np.atleast_2d(y0s), dtype=float)
+    m, d = y.shape
+    states = np.empty((n, m, d))
+    jacs = np.empty((n, m, d, d))
+    states[0] = y
+    jacs[0] = jac = np.broadcast_to(np.eye(d), (m, d, d)).copy()
+    alive_idx = np.full(m, n - 1, dtype=int)
+    alive = np.ones(m, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1):
+            dt = times[i + 1] - times[i]
+            dxs = dX[i] / sub
+            for s in range(sub):
+                ts = times[i] + dt * (s / sub)
+                f = field.value_at(ts, y)
+                if with_jacobian:
+                    lin = np.einsum("mdnk,n->mdk", field.jacobian_at(ts, y), dxs)
+                    jac = jac + np.einsum("mde,mek->mdk", lin, jac)
+                y = y + _ref_apply(f, dxs)
+            bad = alive & ~np.isfinite(y).all(axis=1)
+            if with_jacobian:
+                bad |= alive & ~np.isfinite(jac).all(axis=(1, 2))
+            alive_idx[bad] = i
+            alive &= ~bad
+            states[i + 1] = np.where(alive[:, None], y, states[i])
+            jacs[i + 1] = np.where(alive[:, None, None], jac, jacs[i])
+            y, jac = states[i + 1].copy(), jacs[i + 1].copy()
+    return states, jacs, alive_idx
+
+
+def _ref_fresh_diagonal(g, X, seeds, sub):
+    """Y_{t_i}(seeds[i]) by one fresh solve per row, cut at t_i."""
+    out = np.empty_like(np.asarray(seeds, dtype=float))
+    out[0] = seeds[0]
+    for i in range(1, len(seeds)):
+        cut = SampledPath(X.times[: i + 1], X.values[: i + 1])
+        out[i] = _ref_euler(g, cut, seeds[i][None, :], sub, with_jacobian=False)[0][-1, 0]
+    return out
+
+
+def _ref_direct(f, U, g, X, y0, sub, newton_tol=1e-10, max_iter=50):
+    """Euler for dZ = g(Z) dX + (Y)_* f(Z) dU, preimages by Newton.
+
+    The fast pass predicts Y_{t_i}(x) with y0's Jacobian; the preimages it
+    used (steps 0..n-2) are checked against fresh solves, and from the
+    first one off by more than newton_tol every step is re-solved with
+    exact Newton.
+    """
+    times = X.times
+    n = times.size
+    dX, dU = np.diff(X.values, axis=0), np.diff(U.values, axis=0)
+    jacs = _ref_euler(g, X, y0[None, :], sub)[1][:, 0]
+    z, x, w = (y0[None, :].copy() for _ in range(3))
+    zs, xs = np.empty((n, y0.size)), np.empty((n - 1, y0.size))
+    zs[0] = z[0]
+
+    def step_state(i, state, pf):
+        dt = times[i + 1] - times[i]
+        for s in range(sub):
+            ts = times[i] + dt * (s / sub)
+            state = (state + _ref_apply(g.value_at(ts, state), dX[i] / sub)
+                     + _ref_apply(pf, dU[i] / sub))
+        return state
+
+    for i in range(n - 1):
+        r = w - z
+        for _ in range(max_iter):
+            if np.linalg.norm(r) <= newton_tol:
+                break
+            delta = np.linalg.solve(jacs[i], r[0])
+            x = x - delta[None, :]
+            w = w - (jacs[i] @ delta)[None, :]
+            r = w - z
+        xs[i] = x[0]
+        z = step_state(i, z, (jacs[i] @ f.value_at(times[i], x[0]))[None, :, :])
+        dt = times[i + 1] - times[i]
+        for s in range(sub):
+            ts = times[i] + dt * (s / sub)
+            w = w + _ref_apply(g.value_at(ts, w), dX[i] / sub)
+        zs[i + 1] = z[0]
+
+    errs = np.linalg.norm(_ref_fresh_diagonal(g, X, xs, sub) - zs[:-1], axis=1)
+    bad = np.nonzero(errs > newton_tol)[0]
+    if bad.size == 0:
+        return zs, None
+    start = int(bad[0])
+    yflow = solve_flow(g, X, y0[None, :], SolveConfig(substeps_per_interval=sub))
+    z, x = zs[start].copy(), xs[max(start - 1, 0)].copy()
+    for i in range(start, n - 1):
+        x = invert_flow(yflow, float(times[i]), z, newton_tol=newton_tol,
+                        max_iter=max_iter, initial_guess=x)
+        z = step_state(i, z[None, :], (jacs[i] @ f.value_at(times[i], x))[None, :, :])[0]
+        zs[i + 1] = z
+    return zs, start
+
+
+def _ref_char_core(H, X, A0, B0, C0, sub):
+    times = X.times
+    n = times.size
+    dX = np.diff(X.values, axis=0)
+    a, b, c = (np.array(v, dtype=float) for v in (A0, B0, C0))
+    m = a.shape[0]
+    A, B, C = np.empty((n, m, a.shape[1])), np.empty((n, m)), np.empty((n, m, a.shape[1]))
+    A[0], B[0], C[0] = a, b, c
+    alive_idx = np.full(m, n - 1, dtype=int)
+    alive = np.ones(m, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1):
+            dt = times[i + 1] - times[i]
+            dxs = dX[i] / sub
+            for s in range(sub):
+                ts = times[i] + dt * (s / sub)
+                da, db, dc = np.zeros_like(a), np.zeros_like(b), np.zeros_like(c)
+                for j, comp in enumerate(H.components):
+                    fv, fp = comp.value_at(ts, a, b, c), comp.dp_at(ts, a, b, c)
+                    fx, fu = comp.dx_at(ts, a, b, c), comp.du_at(ts, a, b, c)
+                    da = da - fp * dxs[j]
+                    db = db + (fv - np.einsum("md,md->m", fp, c)) * dxs[j]
+                    dc = dc + (fx + fu[:, None] * c) * dxs[j]
+                a, b, c = a + da, b + db, c + dc
+            bad = alive & ~(np.isfinite(a).all(axis=1) & np.isfinite(b)
+                            & np.isfinite(c).all(axis=1))
+            alive_idx[bad] = i
+            alive &= ~bad
+            A[i + 1] = np.where(alive[:, None], a, A[i])
+            B[i + 1] = np.where(alive, b, B[i])
+            C[i + 1] = np.where(alive[:, None], c, C[i])
+            a, b, c = A[i + 1].copy(), B[i + 1].copy(), C[i + 1].copy()
+    return A, B, C, alive_idx
+
+
+# ---------------------------------------------------------------- inputs
+
+
+def _timed_field():
+    """A nonlinear, time-dependent field on R^2 with a 2-d driver."""
+
+    def value(t, y):
+        y0, y1 = y[..., 0], y[..., 1]
+        return np.stack([np.stack([np.cos(3 * t) * y0, y1 ** 2], axis=-1),
+                         np.stack([np.sin(y0) + t, -y0 * y1], axis=-1)], axis=-2)
+
+    def jacobian(t, y):
+        y0, y1 = y[..., 0], y[..., 1]
+        zero, c3 = np.zeros_like(y0), np.full_like(y0, np.cos(3 * t))
+        rows = [[[c3, zero], [zero, 2 * y1]],
+                [[np.cos(y0), zero], [-y1, -y0]]]
+        return np.stack([np.stack([np.stack(col, axis=-1) for col in row], axis=-2)
+                         for row in rows], axis=-3)
+
+    return FieldSpec(in_dim=2, driver_dim=2, value=value, jacobian=jacobian)
+
+
+def _fbm2(n, seed):
+    """A 2-d driver on an uneven grid, so substep times round as they would."""
+    a = gen_fbm(FbmSpec(hurst=0.75, n_points=n, seed=seed))
+    b = gen_fbm(FbmSpec(hurst=0.75, n_points=n, seed=seed + 100))
+    return SampledPath(0.7 * a.times ** 1.5, np.column_stack([a.values[:, 0], b.values[:, 0]]))
+
+
+def _cfg(sub):
+    return SolveConfig(substeps_per_interval=sub)
+
+
+SUBSTEPS = [1, 3]
+
+
+# ------------------------------------------------------------- flow solve
+
+
+@pytest.mark.parametrize("sub", SUBSTEPS)
+def test_solve_flow_matches_reference(sub):
+    X = _fbm2(129, 3)
+    pts = np.random.default_rng(1).uniform(-0.8, 0.8, (7, 2))
+    flow = solve_flow(_timed_field(), X, pts, _cfg(sub))
+    states, jacs, alive = _ref_euler(_timed_field(), X, pts, sub)
+    assert np.array_equal(flow.states, states)
+    assert np.array_equal(flow.jacobians, jacs)
+    assert np.array_equal(flow.alive_until, X.times[alive])
+    Y = solve_yde(_timed_field(), X, pts[2], _cfg(sub))
+    assert np.array_equal(Y.values, _ref_euler(_timed_field(), X, pts[2], sub, False)[0][:, 0])
+    assert np.array_equal(flow.evaluate(pts[3:5], stop_index=77), states[:78, 3:5])
+
+
+@pytest.mark.parametrize("sub", SUBSTEPS)
+def test_blown_up_rows_freeze_like_reference(sub):
+    # dY = Y^2 dX with X_t = 4t: the row from 2 dies near t = 1/8, the
+    # row from 1 near t = 1/4, the others live to the horizon
+    X = gen_deterministic(DeterministicSpec(kind="linear", n_points=257))
+    strong = SampledPath(X.times, 4.0 * X.values)
+    pts = np.array([[2.0], [-1.0], [0.1], [1.0]])
+    flow = solve_flow(get_field("square", dim=1), strong, pts, _cfg(sub))
+    states, jacs, alive = _ref_euler(get_field("square", dim=1), strong, pts, sub)
+    assert alive[0] < alive[3] < alive[1] == alive[2] == X.n_points - 1
+    assert np.array_equal(flow.states, states)
+    assert np.array_equal(flow.jacobians, jacs)
+    assert np.array_equal(flow.alive_until, X.times[alive])
+
+
+# ------------------------------------------------------------ composition
+
+
+@pytest.mark.parametrize("sub", SUBSTEPS)
+def test_diagonal_flow_rows_are_fresh_solves(sub):
+    X = _fbm2(65, 5)
+    seeds = np.random.default_rng(2).uniform(-0.7, 0.7, (65, 2))
+    got = composition._diagonal_flow(_timed_field(), X, seeds, _cfg(sub))
+    assert np.array_equal(got, _ref_fresh_diagonal(_timed_field(), X, seeds, sub))
+    for i in (1, 17, 64):
+        cut = SampledPath(X.times[: i + 1], X.values[: i + 1])
+        assert np.array_equal(got[i], solve_yde(_timed_field(), cut, seeds[i], _cfg(sub)).values[-1])
+
+
+def _ref_compose(f, U, g, X, y0, sub, levels):
+    rows, starts = [], []
+    for step in [2 ** (levels - 1 - k) for k in range(levels)]:
+        Uk, Xk = U.subsample(step), X.subsample(step)
+        V = _ref_euler(f, Uk, y0[None, :], sub, False)[0][:, 0]
+        comp = _ref_fresh_diagonal(g, Xk, V, sub)
+        direct, start = _ref_direct(f, Uk, g, Xk, y0, sub)
+        starts.append(start)
+        rows.append((Xk.mesh, float(np.max(np.linalg.norm(comp - direct, axis=1))),
+                     float(np.max(np.abs(comp)))))
+    rep = make_residual_report([r[:2] for r in rows], scale=max(r[2] for r in rows))
+    return comp, direct, rep, starts
+
+
+@pytest.mark.parametrize("sub", SUBSTEPS)
+@pytest.mark.parametrize("outer, inner, n, y0", [
+    ("square", "scaling", 65, 0.3),  # linear inner flow: the fast pass is exact
+    ("scaling", "square", 33, 0.3),  # nonlinear inner flow: exact re-solves
+])
+def test_compose_flows_matches_reference(sub, outer, inner, n, y0):
+    U = gen_fbm(FbmSpec(hurst=0.75, n_points=n, seed=11))
+    X = gen_fbm(FbmSpec(hurst=0.75, n_points=n, seed=12))
+    f, g = get_field(outer, dim=1), get_field(inner, dim=1)
+    y0 = np.array([y0])
+    comp, direct, rep = compose_flows(f, U, g, X, y0, _cfg(sub), levels=3)
+    ref_comp, ref_direct, ref_rep, starts = _ref_compose(f, U, g, X, y0, sub, 3)
+    assert (inner == "scaling") == all(s is None for s in starts)
+    assert np.array_equal(comp.values, ref_comp)
+    assert np.array_equal(direct.values, ref_direct)
+    assert rep == ref_rep
+
+
+# ------------------------------------------------------ characteristics
+
+
+def _timed_hamiltonian():
+    # two drivers: a time-modulated transport and a Burgers term
+    transport = ScalarHamiltonian(
+        value=lambda t, x, u, p: np.cos(2 * t) * p[..., 0] + 0.1 * u,
+        dx=lambda t, x, u, p: np.zeros_like(x),
+        du=lambda t, x, u, p: np.full_like(u, 0.1),
+        dp=lambda t, x, u, p: np.concatenate(
+            [np.full_like(p[..., :1], np.cos(2 * t)), np.zeros_like(p[..., 1:])], axis=-1),
+    )
+    burgers = ScalarHamiltonian(value=lambda t, x, u, p: 0.5 * np.sum(p ** 2, axis=-1)
+                                + np.sin(x[..., 0]) * t)
+    return HamiltonianSpec(state_dim=2, components=(transport, burgers))
+
+
+@pytest.mark.parametrize("sub", [1, 2])
+def test_char_core_matches_reference(sub):
+    X = _fbm2(97, 7)
+    seeds = np.random.default_rng(4).uniform(-1.0, 1.0, (11, 2))
+    u0, p0 = np.sin(seeds[:, 0]), np.cos(seeds)
+    H = _timed_hamiltonian()
+    got = pde._char_core(H, X, seeds, u0, p0, sub)
+    for g, r in zip(got, _ref_char_core(H, X, seeds, u0, p0, sub)):
+        assert np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("sub", [1, 2])
+def test_char_core_blow_up_with_substeps_matches_reference(sub):
+    # F = u^2: db = u^2 dX blows up at X = 1/u0, so large seeds die early
+    H = HamiltonianSpec(state_dim=1,
+                        components=(ScalarHamiltonian(value=lambda t, x, u, p: u ** 2),))
+    X = gen_deterministic(DeterministicSpec(kind="linear", n_points=65))
+    seeds = np.linspace(0.0, 4.0, 9)[:, None]
+    u0 = np.linspace(0.0, 40.0, 9)
+    got = pde._char_core(H, X, seeds, u0, seeds.copy(), sub)
+    ref = _ref_char_core(H, X, seeds, u0, seeds.copy(), sub)
+    assert 0 < np.sum(ref[3] < X.n_points - 1) < 9
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)

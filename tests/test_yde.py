@@ -134,8 +134,6 @@ def test_driver_compatibility_checks():
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(substeps_per_interval=0)
-    with pytest.raises(ValueError):
-        SolveConfig(scheme="milstein")
 
 
 def test_blow_up_reports_last_valid_time():
