@@ -57,7 +57,7 @@ def positive(text: str) -> float:
 
 
 def positive_int(text: str) -> int:
-    """An integer >= 1; the type of --dim and --slices."""
+    """An integer >= 1; the type of count flags (--dim, --slices, --levels, ...)."""
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return int(text)
@@ -356,7 +356,7 @@ def _add_common(p, out_required=False, out_help="output file"):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--substeps", type=int, default=1,
+    p.add_argument("--substeps", type=positive_int, default=1,
                    help="Euler substeps per driver interval")
 
 
@@ -438,12 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y0", help="initial point for trajectory modes")
     p.add_argument("--mode", choices=("algebraic", "trajectory"), default="algebraic")
     p.add_argument("--domain", default="-1:1", help="sample box lo:hi (all axes)")
-    p.add_argument("--samples", type=int, default=128)
+    p.add_argument("--samples", type=positive_int, default=128)
     p.add_argument("--domain-seed", type=int, default=0)
     p.add_argument("--tol", type=finite, default=None)
     p.add_argument("--flow-tol", type=finite, default=1e-6)
     p.add_argument("--flow-times", default="0.5,1.0")
-    p.add_argument("--levels", type=int, default=4)
+    p.add_argument("--levels", type=positive_int, default=4)
     p.add_argument("--tag", default="left", choices=("left", "right", "midpoint-time"))
     _add_solver_flags(p)
     _add_common(p)
@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner-driver", required=True, help="X path CSV")
     p.add_argument("--dim", type=positive_int, required=True)
     p.add_argument("--y0", required=True)
-    p.add_argument("--levels", type=int, default=4)
+    p.add_argument("--levels", type=positive_int, default=4)
     p.add_argument("--newton-tol", type=positive, default=1e-10)
     _add_solver_flags(p)
     _add_common(p)
@@ -485,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
             _add_common(q, out_required=True, out_help="output directory")
         elif name == "residual":
             q.add_argument("--eval", required=True)
-            q.add_argument("--levels", type=int, default=3)
+            q.add_argument("--levels", type=positive_int, default=3)
             _add_common(q)
         else:
             _add_common(q)

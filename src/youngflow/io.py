@@ -5,35 +5,32 @@ round-trip exactly. Vector paths use the header `t,x1,...,xd`; operator
 paths use `t,z11,...,zmk` in row-major order, and readers recover the
 matrix shape by matching the labels against every factorization of the
 column count. JSON documents carry their only timestamp inside a `meta`
-block and are written with sorted keys; writers validate against the
-schemas shipped with the package.
+block and are written with sorted keys; writers check them against the
+schemas shipped with the package, with the small JSON Schema checker
+below.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import numbers
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
+from . import __version__
 from .paths import PathError, SampledPath
 
 FLOAT_FMT = "%.17g"
+# Rows formatted per write: bounds the text held in memory for any path.
+_CSV_BLOCK_ROWS = 8192
 
 
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-
-
-def _tool_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("youngflow")
-    except Exception:
-        return "unknown"
 
 
 # ------------------------------------------------------------------ CSV
@@ -60,6 +57,21 @@ def _parse_header(cols: list):
     raise PathError(f"unrecognized path CSV header: {','.join(cols)}")
 
 
+def _write_csv(fname, labels: list, columns: list) -> None:
+    """A header line, then `columns` (arrays of equal length, 1-d or 2-d)
+    side by side, one `%.17g` value per cell.
+
+    The bytes are those numpy's text writer gives for the same format and
+    delimiter; one row template is applied to a block of rows at a time.
+    """
+    row = ",".join([FLOAT_FMT] * len(labels)) + "\n"
+    with open(fname, "w") as fh:
+        fh.write(",".join(labels) + "\n")
+        for a in range(0, columns[0].shape[0], _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[a:a + _CSV_BLOCK_ROWS] for c in columns])
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def write_path_csv(fname, path: SampledPath) -> None:
     if path.is_operator:
         m, k = path.value_shape
@@ -68,9 +80,7 @@ def write_path_csv(fname, path: SampledPath) -> None:
     else:
         labels = _vector_labels(path.dim)
         flat = path.values
-    data = np.column_stack([path.times, flat])
-    np.savetxt(fname, data, delimiter=",", fmt=FLOAT_FMT,
-               header=",".join(["t"] + labels), comments="")
+    _write_csv(fname, ["t"] + labels, [path.times, flat])
 
 
 def read_path_csv(fname) -> SampledPath:
@@ -87,6 +97,120 @@ def read_path_csv(fname) -> SampledPath:
 
 # ----------------------------------------------------------------- JSON
 
+class SchemaError(Exception):
+    """A document fails its schema, or a schema uses a keyword that
+    `validate` does not implement.
+
+    Not a ValueError, which the CLI reports as a usage error: either case
+    is a fault of the program, not of its input.
+    """
+
+
+# The JSON Schema (draft 2020-12) keywords the shipped schemas use, with
+# jsonschema's semantics; any other keyword is refused, so that a schema
+# cannot rely on a rule the checker would silently skip.
+_KEYWORDS = frozenset({
+    "type", "required", "properties", "items", "minimum", "exclusiveMinimum",
+    "additionalProperties", "minItems", "maxItems", "const", "enum",
+})
+_ANNOTATIONS = frozenset({"$schema", "title"})
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Number) and not isinstance(v, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or (isinstance(v, float) and v.is_integer())),
+}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality as jsonschema has it: True is not 1, but 1 is 1.0."""
+    if a is b:
+        return True
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, Sequence) and isinstance(b, Sequence):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, Mapping) and isinstance(b, Mapping):
+        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
+    if isinstance(a, bool) or isinstance(b, bool):
+        return False  # a bool equals only itself, caught by `is` above
+    return a == b
+
+
+def _check_keywords(schema, where: str) -> None:
+    if isinstance(schema, bool):
+        return
+    if not isinstance(schema, dict):
+        raise SchemaError(f"{where}: a schema must be an object or a boolean")
+    unknown = schema.keys() - _KEYWORDS - _ANNOTATIONS
+    if unknown:
+        raise SchemaError(f"{where}: unsupported schema keyword(s) {sorted(unknown)}")
+    types = schema.get("type", [])
+    for name in [types] if isinstance(types, str) else types:
+        if name not in _TYPES:
+            raise SchemaError(f"{where}: unknown type {name!r}")
+    for key, sub in schema.get("properties", {}).items():
+        _check_keywords(sub, f"{where}/properties/{key}")
+    for key in ("items", "additionalProperties"):
+        if key in schema:
+            _check_keywords(schema[key], f"{where}/{key}")
+
+
+def _check(value, schema, where: str) -> None:
+    if schema is True:
+        return
+    if schema is False:
+        raise SchemaError(f"{where}: no value is allowed here")
+    if "type" in schema:
+        types = schema["type"]
+        types = [types] if isinstance(types, str) else types
+        if not any(_TYPES[name](value) for name in types):
+            raise SchemaError(f"{where}: {value!r} is not of type {' or '.join(types)}")
+    if "const" in schema and not _equal(value, schema["const"]):
+        raise SchemaError(f"{where}: {schema['const']!r} was expected, got {value!r}")
+    if "enum" in schema and not any(_equal(value, e) for e in schema["enum"]):
+        raise SchemaError(f"{where}: {value!r} is not one of {schema['enum']!r}")
+    if _is_number(value):
+        # NaN compares false both ways and so passes, as in jsonschema;
+        # strict rendering refuses it afterwards.
+        if "minimum" in schema and value < schema["minimum"]:
+            raise SchemaError(f"{where}: {value!r} is less than {schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            raise SchemaError(f"{where}: {value!r} is not above {schema['exclusiveMinimum']!r}")
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise SchemaError(f"{where}: fewer than {schema['minItems']} items")
+        if len(value) > schema.get("maxItems", len(value)):
+            raise SchemaError(f"{where}: more than {schema['maxItems']} items")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _check(item, schema["items"], f"{where}/{i}")
+    elif isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise SchemaError(f"{where}: {key!r} is a required property")
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            _check(item, props[key] if key in props else extra, f"{where}/{key}")
+
+
+def validate(instance, schema) -> None:
+    """Raise SchemaError unless `instance` conforms to `schema`."""
+    _check_keywords(schema, "#")
+    _check(instance, schema, "#")
+
+
 @lru_cache(maxsize=None)
 def load_schema(name: str) -> dict:
     ref = resources.files("youngflow").joinpath("schemas", f"{name}.schema.json")
@@ -94,14 +218,14 @@ def load_schema(name: str) -> dict:
 
 
 def make_meta() -> dict:
-    return {"created": _utc_now(), "tool": "youngflow", "version": _tool_version()}
+    return {"created": _utc_now(), "tool": "youngflow", "version": __version__}
 
 
 def render_json(payload: dict, schema: str | None = None) -> str:
     doc = dict(payload)
     doc["meta"] = make_meta()
     if schema is not None:
-        jsonschema.validate(doc, load_schema(schema))
+        validate(doc, load_schema(schema))
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
@@ -160,9 +284,7 @@ def write_solution_field(dirpath, sol, stem: str = "slice") -> dict:
     files = []
     for r in range(sol.times.size):
         name = f"{stem}_{r:04d}.csv"
-        data = np.column_stack([sol.points, sol.u[r], sol.du[r]])
-        np.savetxt(os.path.join(dirpath, name), data, delimiter=",",
-                   fmt=FLOAT_FMT, header=",".join(labels), comments="")
+        _write_csv(os.path.join(dirpath, name), labels, [sol.points, sol.u[r], sol.du[r]])
         files.append(name)
     payload = {
         "files": files,

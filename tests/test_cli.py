@@ -83,8 +83,9 @@ def test_cli_import_leaves_scipy_out():
     src = os.path.dirname(os.path.dirname(youngflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, youngflow.cli; "
-            "sys.exit('scipy' in sys.modules or 'concurrent.futures' in sys.modules)")
+    heavy = ["scipy", "concurrent.futures", "jsonschema", "referencing",
+             "importlib.metadata"]
+    code = f"import sys, youngflow.cli; sys.exit(any(m in sys.modules for m in {heavy!r}))"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -301,6 +302,35 @@ def test_pde_eval_axis_count_must_match_dim(capsys, workdir, lin17_csv):
       "--box=-3:3:11", "--eval=-1:1:5", "--newton-tol", "-1", "-o", "OUT"], "--newton-tol"),
 ])
 def test_bad_dim_y0_or_tolerance_exits_two(capsys, workdir, lin17_csv, argv, flag):
+    _assert_usage_error_naming(capsys, workdir, lin17_csv, argv, flag)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "conserved", "--field", "rotation", "--dim", "2", "--samples", "0",
+      "-o", "OUT"], "--samples"),
+    (["check", "infinitesimal", "--generator", "rotation", "--field", "scaling",
+      "--dim", "2", "--samples", "-3", "-o", "OUT"], "--samples"),
+    (["check", "chain", "--g", "square", "--path", "LIN", "--levels", "0", "-o", "OUT"],
+     "--levels"),
+    (["check", "conserved", "--field", "rotation", "--dim", "2", "--mode", "trajectory",
+      "--driver", "LIN", "--y0", "1,0", "--levels", "-1", "-o", "OUT"], "--levels"),
+    (["compose", "--outer-field", "scaling", "--outer-driver", "LIN", "--inner-field",
+      "scaling", "--inner-driver", "LIN", "--dim", "1", "--y0", "1", "--levels", "0",
+      "-o", "OUT"], "--levels"),
+    (["pde", "residual", "--hamiltonian", "transport-k", "--init", "sin", "--driver", "LIN",
+      "--box=-3:3:11", "--eval=-1:1:5", "--levels", "0", "-o", "OUT"], "--levels"),
+    (["solve", "--field", "scaling", "--dim", "1", "--driver", "LIN", "--y0", "1",
+      "--substeps", "0", "-o", "OUT"], "--substeps"),
+    (["flow", "--field", "scaling", "--dim", "1", "--driver", "LIN", "--grid", "0:1:3",
+      "--substeps", "-2", "-o", "OUT"], "--substeps"),
+    (["pde", "solve", "--hamiltonian", "transport-k", "--init", "sin", "--driver", "LIN",
+      "--box=-3:3:11", "--eval=-1:1:5", "--substeps", "0", "-o", "OUT"], "--substeps"),
+])
+def test_count_below_one_exits_two(capsys, workdir, lin17_csv, argv, flag):
+    _assert_usage_error_naming(capsys, workdir, lin17_csv, argv, flag)
+
+
+def _assert_usage_error_naming(capsys, workdir, lin17_csv, argv, flag):
     out = workdir / "never_shape"
     subs = {"LIN": lin17_csv, "OUT": str(out)}
     try:
