@@ -2,8 +2,11 @@
 
 One process per invocation: read input files, compute, write outputs,
 exit. No long-running service mode; no daemon state. Exit codes:
-0 success / check passed, 1 check failed, 2 usage or input errors,
-3 numeric failures (blow-up, failed factorization, non-convergence).
+0 success / check passed, 1 check failed, 2 usage or input errors
+(unreadable or unwritable files included), 3 numeric failures (blow-up,
+failed factorization, non-convergence), 4 internal errors (a report
+that fails its schema or strict JSON, or any other exception a handler
+lets escape), reported on one line without a traceback.
 
 A ``--config FILE`` of ``key=value`` lines supplies defaults for any
 long option of the chosen subcommand; explicit command-line flags win.
@@ -37,6 +40,7 @@ from .yde import BlowUpError, NewtonError, SolveConfig, solve_flow, solve_yde
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
+INTERNAL_EXIT = 4
 
 
 # --------------------------------------------------------- small parsers
@@ -526,14 +530,17 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             args = parser.parse_args(argv + _config_argv(args.config, argv))
         return args.handler(args)
-    except (PathError, YoungConditionError, bi.UnknownBuiltin, FileNotFoundError,
-            IsADirectoryError, ValueError) as exc:
+    except (PathError, YoungConditionError, bi.UnknownBuiltin, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (BlowUpError, NewtonError, GenerationError, ResourceError,
             CausticError, InversionError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
+    except Exception as exc:  # a fault of the program, yio.SchemaError included
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_EXIT
 
 
 if __name__ == "__main__":

@@ -98,8 +98,8 @@ def read_path_csv(fname) -> SampledPath:
 # ----------------------------------------------------------------- JSON
 
 class SchemaError(Exception):
-    """A document fails its schema, or a schema uses a keyword that
-    `validate` does not implement.
+    """A document fails its schema or strict JSON, or a schema uses a
+    keyword that `validate` does not implement.
 
     Not a ValueError, which the CLI reports as a usage error: either case
     is a fault of the program, not of its input.
@@ -226,7 +226,10 @@ def render_json(payload: dict, schema: str | None = None) -> str:
     doc["meta"] = make_meta()
     if schema is not None:
         validate(doc, load_schema(schema))
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or infinity: not strict RFC 8259 JSON
+        raise SchemaError(f"#: {exc}") from exc
 
 
 def write_json(fname, payload: dict, schema: str | None = None) -> dict:

@@ -222,26 +222,120 @@ def _interval_indices(X: SampledPath, interval) -> tuple:
     return i0, i1
 
 
+_BLOCK = 64  # grid points per block, both for endpoints and for start points
+# Column chunk of the dense candidate evaluation: it stays in cache, and
+# below malloc's 128 KiB mmap threshold its temporaries reuse heap pages
+# instead of faulting in fresh ones for every chunk.
+_CHUNK_BYTES = 2**16
+
+
+def _powers(vals, rows, cols, p) -> np.ndarray:
+    """||vals[j] - vals[i]||^p for j in rows, i in cols.
+
+    Array arithmetic only: numpy's array pow and axis norm give the same
+    bits at any position and array shape, which Python-scalar ** does not,
+    so every candidate equals the plain DP's bitwise.
+    """
+    return np.linalg.norm(vals[rows, None, :] - vals[None, cols, :], axis=-1) ** p
+
+
+def _settled_winners(vals, best, rows, cols, p) -> tuple:
+    """Max and first argmax over cols of each row, in column chunks.
+
+    A chunk holds at least one block of columns, so that wide values
+    (operator paths) are not evaluated one column at a time.
+    """
+    step = max(_BLOCK, _CHUNK_BYTES // (8 * vals.shape[1] * rows.size))
+    top = np.full(rows.size, -np.inf)
+    arg = np.zeros(rows.size, dtype=int)
+    at = np.arange(rows.size)
+    for c0 in range(0, cols.size, step):
+        chunk = cols[c0 : c0 + step]
+        cand = best[chunk] + _powers(vals, rows, chunk, p)
+        i = np.argmax(cand, axis=1)
+        v = cand[at, i]
+        won = v > top  # strict: an equal value in a later chunk is a later index
+        top[won] = v[won]
+        arg[won] = chunk[i[won]]
+    return top, arg
+
+
+def _pruned_dp(vals: np.ndarray, p: float) -> tuple:
+    """best[j] = max_{i<j} best[i] + ||vals[j] - vals[i]||^p, and its first argmax.
+
+    Endpoints j go in blocks of _BLOCK. Start points before the endpoint
+    block (settled: their best is final) go in blocks too, each with a
+    box. A settled block is skipped when an upper bound of its candidates
+    is below a real candidate of every row (the start point a - 1 or its
+    own backpointer), so it holds neither the max nor the first argmax.
+    The kept blocks are evaluated as one dense matrix; start points inside
+    the endpoint block then run one row at a time and win only on a strict
+    >, so ties go to the earliest index as in the plain DP.
+    """
+    n, k = vals.shape
+    nblk = -(-n // _BLOCK)
+    starts = np.arange(nblk) * _BLOCK
+    lo = np.minimum.reduceat(vals, starts, axis=0)
+    hi = np.maximum.reduceat(vals, starts, axis=0)
+    bmax = np.zeros(nblk)
+    # Rounding of the bound best_max + (sum of the far corner's squares)^(p/2),
+    # with u = eps/2 the unit roundoff. Coordinate differences round
+    # monotonically, so each |vals[j] - vals[i]| is at most the far corner's
+    # |vals[j] - lo| or |vals[j] - hi| exactly. A candidate's sum of k squares
+    # and the bound's (in another order) are each within k u of exact, and
+    # the candidate's sqrt adds u: its norm exceeds the square root of the
+    # bound's sum by a factor below 1 + (k + 1) eps, which the power p raises
+    # to (1 + (k + 1) eps)^p. The two pow results add up to 4 ulps (4 eps)
+    # each, and the candidate's add, the bound's add and the bound's product
+    # u each: (1 + 12 eps) covers these 9.5 eps. A fixed tolerance would
+    # fail at large p or k.
+    eps = np.finfo(float).eps
+    slack = (1.0 + (k + 1) * eps) ** p * (1.0 + 12 * eps)
+    best = np.zeros(n)
+    prev = np.zeros(n, dtype=int)
+    cols = np.zeros(0, dtype=int)
+    for m in range(nblk):
+        a, b = m * _BLOCK, min((m + 1) * _BLOCK, n)
+        rows = np.arange(max(a, 1), b)
+        if m:
+            seeds = np.array([prev[a - 1], a - 1])
+            known = (best[seeds] + _powers(vals, rows, seeds, p)).max(axis=1)
+            x = vals[rows, None, :]
+            far = np.maximum(np.abs(x - lo[:m]), np.abs(x - hi[:m]))
+            bound = (bmax[:m] + np.einsum("rck,rck->rc", far, far) ** (p / 2)) * slack
+            # keep unless below for every row; a NaN bound (0 * inf) keeps
+            kept = np.flatnonzero(~np.all(bound < known[:, None], axis=0))
+            cols = (kept[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
+        best[rows], prev[rows] = _settled_winners(vals, best, rows, cols, p)
+        inner = _powers(vals, np.arange(a, b), np.arange(a, b), p)
+        for j in range(a + 1, b):
+            cand = best[a:j] + inner[j - a, : j - a]
+            i = cand.argmax()
+            if cand[i] > best[j]:  # strict: a tie keeps the earlier settled index
+                best[j], prev[j] = cand[i], a + i
+        bmax[m] = best[a:b].max()
+    return best, prev
+
+
 def p_variation(X: SampledPath, p: float, interval=None) -> VariationResult:
     """Exact grid p-variation, (sup over partitions of sum ||dX||^p)^(1/p).
 
     Dynamic program over grid vertices: V[j] = max_{i<j} V[i] + ||X_j - X_i||^p,
     backpointers recover an optimal partition (ties resolved toward the
     coarsest one). Increment norms are Euclidean (Frobenius for operator
-    paths). O(n^2) work, O(n) memory.
+    paths). Blocks of start points whose box bound cannot reach a known
+    candidate are pruned (after Butkus & Norvaiša, "Computation of
+    p-variation", Lith. Math. J. 2018, and the branch and bound of
+    Korepanov's p-var); V and the partition are bitwise those of the plain
+    DP. Worst case (all ties, e.g. a ramp at p = 1) O(n^2) work, O(n)
+    memory.
     """
     if p < 1:
         raise PathError(f"p-variation needs p >= 1, got p={p}")
     i0, i1 = _interval_indices(X, interval)
     vals = X.values[i0 : i1 + 1].reshape(i1 - i0 + 1, -1)
     n = vals.shape[0]
-    best = np.zeros(n)
-    prev = np.zeros(n, dtype=int)
-    for j in range(1, n):
-        cand = best[:j] + np.linalg.norm(vals[j] - vals[:j], axis=1) ** p
-        i = int(np.argmax(cand))  # first max: prefers the coarsest partition
-        best[j] = cand[i]
-        prev[j] = i
+    best, prev = _pruned_dp(vals, p)
     idx = [n - 1]
     while idx[-1] != 0:
         idx.append(int(prev[idx[-1]]))

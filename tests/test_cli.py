@@ -212,6 +212,14 @@ def test_missing_file_exits_two(capsys):
     assert rc == 2
 
 
+def test_unwritable_output_exits_two(capsys, workdir, lin17_csv):
+    # any OSError (here NotADirectoryError) is an input error, not an internal one
+    rc = main(["pvar", "--p", "1.5", "--path", lin17_csv,
+               "-o", os.path.join(lin17_csv, "out.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_pvar_exponent_below_one_exits_two(capsys, lin17_csv):
     rc = main(["pvar", "--p", "0.5", "--path", lin17_csv])
     capsys.readouterr()
@@ -246,14 +254,6 @@ def test_non_finite_flag_exits_two(capsys, workdir, lin17_csv, argv):
     assert "NaN" not in out and "Infinity" not in out
 
 
-def test_non_finite_report_is_refused(capsys, monkeypatch, lin17_csv):
-    # strict JSON has no NaN: a report holding one is refused, not written
-    real = cli.p_variation
-    monkeypatch.setattr(cli, "p_variation", lambda path, p: dataclasses.replace(
-        real(path, p), value=float("nan")))
-    rc, out = run(capsys, ["pvar", "--p", "1.5", "--path", lin17_csv])
-    assert rc == 2
-    assert out == ""
 
 
 def test_flow_grid_axis_count_must_match_dim(capsys, workdir, lin17_csv):
@@ -489,3 +489,39 @@ def test_config_file_precedence(capsys, workdir, lin17_csv):
     _, out = run(capsys, base + ["--tag", "left", "--config", cfg])
     doc = json.loads(out)
     assert doc["tag"] == "left" and doc["q"] == 1.2  # explicit flag wins
+
+
+
+# ----------------------------------------------------- internal errors (4)
+
+def test_non_finite_report_is_refused(capsys, monkeypatch, lin17_csv):
+    # strict JSON has no NaN: a report holding one is refused, not written,
+    # and the fault is the program's, not the user's
+    real = cli.p_variation
+    monkeypatch.setattr(cli, "p_variation", lambda path, p: dataclasses.replace(
+        real(path, p), value=float("nan")))
+    rc, out = run(capsys, ["pvar", "--p", "1.5", "--path", lin17_csv])
+    assert rc == 4
+    assert out == ""
+
+
+def test_report_failing_its_schema_exits_four(capsys, monkeypatch, lin17_csv):
+    real = cli.p_variation
+    monkeypatch.setattr(cli, "p_variation", lambda path, p: dataclasses.replace(
+        real(path, p), value=-1.0))  # pvar.schema.json: value has minimum 0
+    rc = main(["pvar", "--p", "1.5", "--path", lin17_csv])
+    out, err = capsys.readouterr()
+    assert rc == 4 and out == ""
+    assert err.startswith("internal error: SchemaError: ") and err.count("\n") == 1
+
+
+def test_exception_escaping_a_handler_exits_four_without_traceback(
+        capsys, monkeypatch, lin17_csv):
+    def broken(path, p):
+        raise RuntimeError("unexpected state")
+
+    monkeypatch.setattr(cli, "p_variation", broken)
+    rc = main(["pvar", "--p", "1.5", "--path", lin17_csv])
+    out, err = capsys.readouterr()
+    assert rc == 4 and out == ""
+    assert err == "internal error: RuntimeError: unexpected state\n"

@@ -7,13 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from youngflow import (
+    FbmSpec,
     Partition,
     PathError,
     SampledPath,
+    gen_fbm,
     holder_norm,
     p_variation,
     p_variation_norm,
 )
+from youngflow import paths
+
+B = paths._BLOCK
 
 
 def enum_p_variation(X, p):
@@ -39,6 +44,52 @@ def enum_p_variation(X, p):
             if tot > best:
                 best = tot
     return best ** (1.0 / p)
+
+
+def plain_dp(vals, p):
+    """Reference: the unpruned O(n^2) DP over every start point."""
+    n = vals.shape[0]
+    best = np.zeros(n)
+    prev = np.zeros(n, dtype=int)
+    for j in range(1, n):
+        cand = best[:j] + np.linalg.norm(vals[j] - vals[:j], axis=1) ** p
+        i = int(np.argmax(cand))
+        best[j] = cand[i]
+        prev[j] = i
+    return best, prev
+
+
+def assert_matches_plain_dp(X, p, interval=None):
+    """best, prev, value and partition of p_variation equal the plain DP's."""
+    i0, i1 = paths._interval_indices(X, interval)
+    vals = X.values[i0 : i1 + 1].reshape(i1 - i0 + 1, -1)
+    best, prev = plain_dp(vals, p)
+    got_best, got_prev = paths._pruned_dp(vals, p)
+    assert np.array_equal(got_best, best)
+    assert np.array_equal(got_prev, prev)
+    idx = [vals.shape[0] - 1]
+    while idx[-1] != 0:
+        idx.append(int(prev[idx[-1]]))
+    res = p_variation(X, p, interval)
+    assert res.value == float(best[-1] ** (1.0 / p))
+    assert list(res.optimal_partition.indices) == idx[::-1]
+
+
+def hazard_values(kind, n, shape, rng):
+    """Paths whose ties and rounding a pruned DP can get wrong."""
+    k = int(np.prod(shape))
+    if kind == "walk":
+        flat = np.cumsum(rng.normal(size=(n, k)), axis=0)
+    elif kind == "steps":  # integer steps, mostly plateaus
+        moves = rng.integers(-2, 3, size=(n, k)) * (rng.random((n, 1)) < 0.3)
+        flat = np.cumsum(moves, axis=0).astype(float)
+    elif kind == "sawtooth":
+        flat = np.repeat((np.arange(n) % 2)[:, None], k, axis=1).astype(float)
+    elif kind == "ramp":
+        flat = np.repeat(np.arange(n)[:, None] * 0.1, k, axis=1)
+    else:
+        raise ValueError(kind)
+    return flat.reshape((n,) + shape)
 
 
 # ---------------------------------------------------------------- container
@@ -135,6 +186,92 @@ def test_holder_norm_frozen_values():
         holder_norm(pair, 1.5)
     with pytest.raises(PathError):
         holder_norm(pair, 0.0)
+
+
+# ---------------------------------------------- pruned DP against plain DP
+
+
+@pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0, 40.0])
+@pytest.mark.parametrize("shape", [(1,), (2,), (3,), (3, 3)], ids=["1d", "2d", "3d", "op3x3"])
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 1, 300])
+def test_pruned_dp_matches_plain_dp_bitwise(n, shape, p):
+    rng = np.random.default_rng([n, len(shape), shape[0], int(p * 10)])
+    for kind in ("walk", "steps", "sawtooth", "ramp"):
+        vals = hazard_values(kind, n, shape, rng)
+        assert_matches_plain_dp(SampledPath(np.arange(n, dtype=float), vals), p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 40.0])
+def test_pruned_dp_overflow_to_inf_matches_plain_dp(p):
+    # near 1e300 the squared norm overflows; near 1e130 (p = 3) and 1e10
+    # (p = 40) the norm is finite and its p-th power overflows to inf
+    rng = np.random.default_rng(int(p))
+    n = 3 * B + 1
+    for shape in [(1,), (2,)]:
+        scale = rng.choice([1e300, 1e130, 1e10, 1.0], size=(n, 1))
+        vals = scale * rng.choice([-1.0, -0.5, 0.0, 1.0], size=(n,) + shape)
+        vals[:B] = rng.normal(size=(B,) + shape)  # finite candidates first
+        with np.errstate(over="ignore"):
+            assert_matches_plain_dp(SampledPath(np.arange(n, dtype=float), vals), p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_pruned_dp_on_sub_intervals_matches_plain_dp(p):
+    rng = np.random.default_rng(7)
+    n = 5 * B + 3
+    times = np.arange(n, dtype=float)
+    for kind in ("walk", "steps"):
+        X = SampledPath(times, hazard_values(kind, n, (2,), rng))
+        for s, t in [(1, n - 2), (B, 3 * B), (B - 1, 4 * B + 1), (17, 17 + B)]:
+            assert_matches_plain_dp(X, p, interval=(times[s], times[t]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2 * B, max_value=6 * B), st.integers(0, 2**32 - 1),
+       st.sampled_from(["fbm", "steps"]), st.sampled_from([(1,), (2,), (2, 2)]),
+       st.floats(min_value=1.0, max_value=3.0), st.floats(min_value=0.55, max_value=0.95))
+def test_pruned_dp_matches_plain_dp_on_random_paths(n, seed, kind, shape, p, hurst):
+    k = int(np.prod(shape))
+    if kind == "fbm":
+        flat = np.stack([gen_fbm(FbmSpec(hurst=hurst, n_points=n, seed=seed + c)).values[:, 0]
+                         for c in range(k)], axis=1)
+        vals = flat.reshape((n,) + shape)
+    else:
+        vals = hazard_values("steps", n, shape, np.random.default_rng(seed))
+    assert_matches_plain_dp(SampledPath(np.arange(n, dtype=float), vals), p)
+
+
+def test_pruning_skips_most_pairs_on_fbm(monkeypatch):
+    # exactness alone would also hold for a DP that never prunes
+    X = gen_fbm(FbmSpec(hurst=0.75, n_points=64 * B + 1, seed=3))
+    pairs = []
+    real = paths._powers
+
+    def counted(vals, rows, cols, p):
+        pairs.append(len(rows) * len(cols))
+        return real(vals, rows, cols, p)
+
+    monkeypatch.setattr(paths, "_powers", counted)
+    p_variation(X, 1.5)
+    n = X.n_points
+    assert sum(pairs) < 0.3 * n * (n - 1) / 2
+
+
+def test_all_ties_prune_nothing_in_bounded_memory():
+    # a ramp at p = 1: every start point ties, no block can be skipped
+    import tracemalloc
+
+    n = 2**15 + 1
+    X = SampledPath(np.arange(n, dtype=float), np.arange(n, dtype=float))
+    tracemalloc.start()
+    try:
+        res = p_variation(X, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value == n - 1.0
+    assert list(res.optimal_partition.indices) == [0, n - 1]
+    assert peak < 32 * 2**20
 
 
 # ------------------------------------------------------------ grid surgery
