@@ -1,6 +1,7 @@
 """Path container, p-variation DP, and grid surgery."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,10 +86,8 @@ def hazard_values(kind, n, shape, rng):
         flat = np.cumsum(moves, axis=0).astype(float)
     elif kind == "sawtooth":
         flat = np.repeat((np.arange(n) % 2)[:, None], k, axis=1).astype(float)
-    elif kind == "ramp":
+    else:  # ramp
         flat = np.repeat(np.arange(n)[:, None] * 0.1, k, axis=1)
-    else:
-        raise ValueError(kind)
     return flat.reshape((n,) + shape)
 
 
@@ -259,8 +258,6 @@ def test_pruning_skips_most_pairs_on_fbm(monkeypatch):
 
 def test_all_ties_prune_nothing_in_bounded_memory():
     # a ramp at p = 1: every start point ties, no block can be skipped
-    import tracemalloc
-
     n = 2**15 + 1
     X = SampledPath(np.arange(n, dtype=float), np.arange(n, dtype=float))
     tracemalloc.start()
