@@ -288,9 +288,11 @@ def _pruned_dp(vals: np.ndarray, p: float) -> tuple:
     # to (1 + (k + 1) eps)^p. The two pow results add up to 4 ulps (4 eps)
     # each, and the candidate's add, the bound's add and the bound's product
     # u each: (1 + 12 eps) covers these 9.5 eps. A fixed tolerance would
-    # fail at large p or k.
+    # fail at large p or k. A subnormal result is only within half a
+    # subnormal step (up to 4 for pow), so the bound also gets 16 steps.
     eps = np.finfo(float).eps
     slack = (1.0 + (k + 1) * eps) ** p * (1.0 + 12 * eps)
+    floor = 16 * np.finfo(float).smallest_subnormal
     best = np.zeros(n)
     prev = np.zeros(n, dtype=int)
     cols = np.zeros(0, dtype=int)
@@ -302,7 +304,7 @@ def _pruned_dp(vals: np.ndarray, p: float) -> tuple:
             known = (best[seeds] + _powers(vals, rows, seeds, p)).max(axis=1)
             x = vals[rows, None, :]
             far = np.maximum(np.abs(x - lo[:m]), np.abs(x - hi[:m]))
-            bound = (bmax[:m] + np.einsum("rck,rck->rc", far, far) ** (p / 2)) * slack
+            bound = (bmax[:m] + np.einsum("rck,rck->rc", far, far) ** (p / 2)) * slack + floor
             # keep unless below for every row; a NaN bound (0 * inf) keeps
             kept = np.flatnonzero(~np.all(bound < known[:, None], axis=0))
             cols = (kept[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()

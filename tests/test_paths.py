@@ -200,18 +200,36 @@ def test_pruned_dp_matches_plain_dp_bitwise(n, shape, p):
         assert_matches_plain_dp(SampledPath(np.arange(n, dtype=float), vals), p)
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 40.0])
-def test_pruned_dp_overflow_to_inf_matches_plain_dp(p):
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.06, 3.0, 40.0])
+def test_pruned_dp_at_extreme_scales_matches_plain_dp(p):
     # near 1e300 the squared norm overflows; near 1e130 (p = 3) and 1e10
-    # (p = 40) the norm is finite and its p-th power overflows to inf
-    rng = np.random.default_rng(int(p))
+    # (p = 40) the norm is finite and its p-th power overflows to inf;
+    # near 1e-150 and 1e-160 powers and squares fall into the subnormals
+    rng = np.random.default_rng(int(p * 100))
     n = 3 * B + 1
     for shape in [(1,), (2,)]:
-        scale = rng.choice([1e300, 1e130, 1e10, 1.0], size=(n, 1))
+        scale = rng.choice([1e300, 1e130, 1e10, 1.0, 1e-150, 1e-160], size=(n, 1))
         vals = scale * rng.choice([-1.0, -0.5, 0.0, 1.0], size=(n,) + shape)
         vals[:B] = rng.normal(size=(B,) + shape)  # finite candidates first
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", under="ignore"):
             assert_matches_plain_dp(SampledPath(np.arange(n, dtype=float), vals), p)
+        tiny = 1e-150 * hazard_values("steps", n, shape, rng)
+        with np.errstate(under="ignore"):
+            assert_matches_plain_dp(SampledPath(np.arange(n, dtype=float), tiny), p)
+
+
+@pytest.mark.parametrize("p, d", [(2.1, 5.044396607462646e-148),
+                                  (2.5, 5.426626893073699e-125),
+                                  (3.0, 5.259035914923343e-104),
+                                  (4.0, 3.3638428255913847e-78)])
+def test_pruned_dp_bound_holds_for_subnormal_powers(p, d):
+    # d^p is subnormal; found by search, sqrt(d*d)**p rounds one subnormal
+    # step above (d*d)**(p/2) even after the relative slack, so only the
+    # bound's absolute floor keeps the zero blocks (numpy 2.4, AVX-512)
+    vals = np.zeros(2 * B + 1)
+    vals[-1] = d
+    with np.errstate(under="ignore"):
+        assert_matches_plain_dp(SampledPath(np.arange(2 * B + 1, dtype=float), vals), p)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
