@@ -1,7 +1,7 @@
 """Run the benchmark on two commits in alternating pairs and record the result.
 
     python3 tools/bench_pairs.py --parent REV --change REV --workload NAME \
-        --pairs 10 --seconds 20 --seed 201 --out BENCH_<pr>.json --workdir DIR
+        --pairs 10 --seconds 20 --seed 201 --out OUT.json --workdir DIR
 
 Both revisions are extracted with `git archive` into DIR (outside the
 checkout under test), so each side builds what it runs from its own
@@ -48,18 +48,14 @@ def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> d
     return json.loads(out.strip().splitlines()[-1])
 
 
-def quartiles(xs: list) -> tuple:
-    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return q1, q2, q3
-
-
 def summarise(pairs: list, better: dict) -> dict:
     out = {}
     for name, direction in better.items():
         par = [p["parent"]["metrics"][name]["value"] for p in pairs]
         chg = [p["change"]["metrics"][name]["value"] for p in pairs]
         sign = 1 if direction == "lower" else -1
-        pq, cq = quartiles(par), quartiles(chg)
+        pq = statistics.quantiles(par, n=4, method="inclusive")
+        cq = statistics.quantiles(chg, n=4, method="inclusive")
         out[name] = {
             "parent": {"q1": pq[0], "median": pq[1], "q3": pq[2]},
             "change": {"q1": cq[0], "median": cq[1], "q3": cq[2]},
