@@ -31,7 +31,7 @@ from .composition import PushforwardField, compose_flows, pushforward_field
 from .pde import (CausticError, CharField, CharTriple, GridBox,
                   HamiltonianSpec, InversionError, ScalarHamiltonian,
                   assemble_solution, assemble_solution_field, build_char_field,
-                  interp_nodal, invert_char_map, pde_residual,
+                  fold_times, interp_nodal, invert_char_map, pde_residual,
                   seed_from_initial_data, solve_characteristics,
                   verify_compatibility, verify_inverse_flow_equation)
 

@@ -32,7 +32,8 @@ from .drivers import GENERATOR_VERSION
 from .integrate import YoungConditionError, young_integral
 from .paths import PathError, p_variation
 from .pde import (CausticError, GridBox, InversionError,
-                  assemble_solution_field, build_char_field, pde_residual)
+                  assemble_solution_field, build_char_field, fold_times,
+                  pde_residual)
 from .symmetry import (SampleDomain, check_conserved_algebraic,
                        check_conserved_trajectory, check_infinitesimal_symmetry,
                        check_symmetry_map, check_symmetry_trajectory)
@@ -41,6 +42,10 @@ from .yde import BlowUpError, NewtonError, SolveConfig, solve_flow, solve_yde
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
 INTERNAL_EXIT = 4
+
+
+class OverflowFailure(ArithmeticError):
+    """A result of finite input data that overflowed the float range."""
 
 
 # --------------------------------------------------------- small parsers
@@ -176,12 +181,16 @@ def cmd_gen(args) -> int:
 
 def cmd_pvar(args) -> int:
     path = yio.read_path_csv(args.path)
-    res = p_variation(path, args.p)
-    sup = path.sup_norm()
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = p_variation(path, args.p)
+        sup = path.sup_norm()
+    norm = res.value + sup  # p_variation_norm, without a second DP
+    if math.isinf(norm):  # sums of norms overflow to +inf; a NaN would be a fault
+        raise OverflowFailure("the p-variation norm overflowed the float range")
     _emit({
         "p": args.p,
         "value": res.value,
-        "norm": res.value + sup,  # p_variation_norm, without a second DP
+        "norm": norm,
         "sup_norm": sup,
         "optimal_partition": [int(i) for i in res.optimal_partition.indices],
         "n_points": path.n_points,
@@ -193,7 +202,10 @@ def cmd_integrate(args) -> int:
     Z = yio.read_path_csv(args.integrand)
     X = yio.read_path_csv(args.driver)
     interval = tuple(args.interval) if args.interval else None
-    res = young_integral(Z, X, interval=interval, tag=args.tag, p=args.p, q=args.q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = young_integral(Z, X, interval=interval, tag=args.tag, p=args.p, q=args.q)
+    if not np.isfinite(np.append(res.value, res.certified_bound or 0.0)).all():
+        raise OverflowFailure("the integral or its bound overflowed the float range")
     span = interval or (float(X.times[0]), float(X.times[-1]))
     _emit({
         "value": [float(v) for v in np.atleast_1d(res.value)],
@@ -315,32 +327,40 @@ def cmd_compose(args) -> int:
     return 0 if rep.converged else 1
 
 
-def _pde_setup(args):
+def _pde_inputs(args):
     H = bi.get_hamiltonian(args.hamiltonian, args.dim, _params(args.params))
     phi = bi.get_initial_data(args.init, args.dim, _params(args.init_params))
     X = yio.read_path_csv(args.driver)
-    field = build_char_field(H, X, phi, _box(args.box, args.dim, "--box"),
-                             substeps=args.substeps)
-    return H, phi, X, field
+    return H, phi, X, _box(args.box, args.dim, "--box")
+
+
+def _slice_indices(n_points: int, slices: int) -> np.ndarray:
+    """Grid indices of `slices` evenly spaced times, duplicates dropped.
+
+    The rounded linspace is sorted, so dropping adjacent repeats gives
+    np.unique's indices without its import of numpy.ma.
+    """
+    idx = np.linspace(0, n_points - 1, slices).round().astype(int)
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
 
 
 def cmd_pde(args) -> int:
+    H, phi, X, box = _pde_inputs(args)
     if args.pde_cmd == "caustic":
-        _, _, X, field = _pde_setup(args)
-        box = field.box
+        tau, folded = fold_times(H, X, phi, box, substeps=args.substeps)
         _emit({
-            "tau_map": yio.jsonable_times(field.tau_map()),
-            "min_tau": float(field.tau.min()),
-            "n_folded": int(field.folded.sum()),
-            "horizon": field.horizon,
+            "tau_map": yio.jsonable_times(tau.reshape(box.counts)),
+            "min_tau": float(tau.min()),
+            "n_folded": int(folded.sum()),
+            "horizon": float(X.times[-1]),
             "box": {"lower": list(box.lower), "upper": list(box.upper),
                     "counts": list(box.counts)},
         }, args.out, schema="caustic")
         return 0
-    H, phi, X, field = _pde_setup(args)
+    field = build_char_field(H, X, phi, box, substeps=args.substeps)
     pts = _box(args.eval, args.dim, "--eval").points()
     if args.pde_cmd == "solve":
-        idx = np.unique(np.linspace(0, X.n_points - 1, args.slices).round().astype(int))
+        idx = _slice_indices(X.n_points, args.slices)
         sol = assemble_solution_field(field, pts, times=X.times[idx],
                                       newton_tol=args.newton_tol)
         yio.write_solution_field(args.out, sol)
@@ -535,7 +555,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (BlowUpError, NewtonError, GenerationError, ResourceError,
-            CausticError, InversionError, np.linalg.LinAlgError) as exc:
+            CausticError, InversionError, OverflowFailure,
+            np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
     except Exception as exc:  # a fault of the program, yio.SchemaError included

@@ -22,10 +22,11 @@ import numpy as np
 from .fields import DEFAULT_FD_STEP, SmoothMap, _fd_last_axis
 from .paths import PathError, SampledPath, dyadic_prefix
 from .reports import CheckReport, ResidualReport, residual_ladder
-from .yde import _store_step, substep_grid
+from .yde import _freeze_rows, substep_grid
 
 
 _NEAREST_CHUNK_BYTES = 4 * 2**20  # row block of the cold-start distance array
+_FOLD_BLOCK_ROWS = 64  # time rows per block of the seed Jacobian and the fold scan
 
 
 class CausticError(RuntimeError):
@@ -179,20 +180,24 @@ class CharTriple:
     c: SampledPath
 
 
-def _char_core(H: HamiltonianSpec, X: SampledPath, A0, B0, C0, substeps: int = 1):
-    """Batched Euler for the characteristic system over all seeds."""
-    n = X.n_points
+def _char_sweep(H: HamiltonianSpec, X: SampledPath, A0, B0, C0, substeps: int,
+                alive_idx: np.ndarray):
+    """Batched Euler for the characteristic system: yields the (a, b, c)
+    rows of every driver grid point in turn, the seeds' own first.
+
+    Rows are frozen by yde._freeze_rows: a seed that turns non-finite on
+    interval i keeps its step-i triple, and alive_idx (m,), which must
+    hold n - 1 on entry, records i.
+    """
     ts, dX = substep_grid(X, substeps)
     a = np.array(np.atleast_2d(A0), dtype=float)
     b = np.array(np.atleast_1d(B0), dtype=float)
     c = np.array(np.atleast_2d(C0), dtype=float)
-    m = a.shape[0]
-    hist = [np.empty((n, m, a.shape[1])), np.empty((n, m)), np.empty((n, m, a.shape[1]))]
-    hist[0][0], hist[1][0], hist[2][0] = a, b, c
-    alive_idx = np.full(m, n - 1, dtype=int)
-    alive = np.ones(m, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 1):
+    alive = np.ones(a.shape[0], dtype=bool)
+    yield a, b, c
+    for i in range(X.n_points - 1):
+        prev = (a, b, c)
+        with np.errstate(over="ignore", invalid="ignore"):
             for t in ts[i]:
                 da, db, dc = np.zeros_like(a), np.zeros_like(b), np.zeros_like(c)
                 for j, comp in enumerate(H.components):
@@ -202,7 +207,19 @@ def _char_core(H: HamiltonianSpec, X: SampledPath, A0, B0, C0, substeps: int = 1
                     db = db + (fv - np.einsum("md,md->m", fp, c)) * dX[i, j]
                     dc = dc + (fx + fu[:, None] * c) * dX[i, j]
                 a, b, c = a + da, b + db, c + dc
-            a, b, c = _store_step(hist, i, [a, b, c], alive, alive_idx)
+            a, b, c = _freeze_rows([a, b, c], i, alive, alive_idx, lambda: prev)
+        yield a, b, c
+
+
+def _char_core(H: HamiltonianSpec, X: SampledPath, A0, B0, C0, substeps: int = 1):
+    """The histories (n, m, ...) of _char_sweep over all seeds, and alive_idx."""
+    n = X.n_points
+    m, d = np.atleast_2d(A0).shape
+    hist = [np.empty((n, m, d)), np.empty((n, m)), np.empty((n, m, d))]
+    alive_idx = np.full(m, n - 1, dtype=int)
+    for i, rows in enumerate(_char_sweep(H, X, A0, B0, C0, substeps, alive_idx)):
+        for h, v in zip(hist, rows):
+            h[i] = v
     return (*hist, alive_idx)
 
 
@@ -237,10 +254,10 @@ class CharField:
     """Characteristic triples over a seed box, with fold diagnostics.
 
     jac holds the central-difference Jacobian D_x a_t across neighboring
-    seeds and det its determinant. tau is the first linearly interpolated
-    zero crossing of det per seed, clamped to the horizon when det never
-    changes sign; folded records which seeds actually crossed, so a
-    fold-free seed stays usable at t = horizon.
+    seeds; its determinant det is computed on each access. tau is the
+    first linearly interpolated zero crossing of det per seed, clamped to
+    the horizon when det never changes sign; folded records which seeds
+    actually crossed, so a fold-free seed stays usable at t = horizon.
     """
 
     box: GridBox
@@ -250,7 +267,6 @@ class CharField:
     B: np.ndarray
     C: np.ndarray
     jac: np.ndarray
-    det: np.ndarray
     tau: np.ndarray
     folded: np.ndarray
     alive_until: np.ndarray
@@ -258,6 +274,10 @@ class CharField:
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
+
+    @property
+    def det(self) -> np.ndarray:
+        return np.linalg.det(self.jac)
 
     def index_of(self, t: float) -> int:
         i = int(np.searchsorted(self.times, t))
@@ -282,44 +302,97 @@ def _seed_gradient(box: GridBox, resh: np.ndarray) -> list:
             for k, ax in enumerate(box.axes())]
 
 
-def _seed_jacobian(box: GridBox, A: np.ndarray) -> np.ndarray:
-    """D_x a_t across seeds: central differences inside, one-sided at edges."""
-    n = A.shape[0]
-    resh = A.reshape((n,) + box.counts + (box.dim,))
-    cols = _seed_gradient(box, resh)
-    jac = np.stack(cols, axis=-1)  # (n, *counts, d, d): [..., i, j] = d a_i / d x_j
-    return jac.reshape(n, -1, box.dim, box.dim)
+def _seed_jacobian(box: GridBox, A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """D_x a_t across seeds for time rows A (k, m, d), into out (k, m, d, d).
+
+    Central differences inside, one-sided at edges. They run along the
+    seed axes only, so a row's values do not depend on which rows share
+    the call.
+    """
+    k, d = A.shape[0], box.dim
+    if out is None:
+        out = np.empty(A.shape + (d,))
+    jac = out.reshape((k,) + box.counts + (d, d))  # a view: out is contiguous
+    for j, col in enumerate(_seed_gradient(box, A.reshape((k,) + box.counts + (d,)))):
+        jac[..., j] = col  # [..., i, j] = d a_i / d x_j
+    return out
 
 
-def _first_zero_crossing(times: np.ndarray, det: np.ndarray):
+def _first_zero_crossing(times: np.ndarray, det):
     """Linear-interpolation time of the first sign change per seed column.
 
-    Returns (tau, folded). Columns whose det never changes sign get
-    tau = horizon with folded = False, so tau <= horizon always holds.
+    det is the (n, m) array of determinants or an iterable of its
+    consecutive row blocks; each block's last row is carried over to pair
+    with the next block's first. Returns (tau, folded). Columns whose det
+    never changes sign get tau = horizon with folded = False, so
+    tau <= horizon always holds.
     """
-    tau = np.full(det.shape[1], float(times[-1]))
-    sign_change = (det[:-1] > 0) & (det[1:] <= 0)
-    start, crossed = det[0] <= 0, sign_change.any(axis=0)
-    cols = np.nonzero(crossed & ~start)[0]
-    i = np.argmax(sign_change[:, cols], axis=0)
-    d0, d1 = det[i, cols], det[i + 1, cols]
-    tau[cols] = times[i] + d0 / (d0 - d1) * (times[i + 1] - times[i])
+    tau = start = crossed = prev = None
+    i0 = 0  # grid index of rows[0]
+    for block in [det] if isinstance(det, np.ndarray) else det:
+        if prev is None:
+            tau = np.full(block.shape[1], float(times[-1]))
+            start = block[0] <= 0
+            crossed = np.zeros_like(start)
+            rows = block
+        else:
+            rows = np.concatenate([prev[None], block])
+        sign_change = (rows[:-1] > 0) & (rows[1:] <= 0)
+        hit = sign_change.any(axis=0)
+        cols = np.nonzero(hit & ~crossed & ~start)[0]
+        if cols.size:
+            i = np.argmax(sign_change[:, cols], axis=0)
+            d0, d1 = rows[i, cols], rows[i + 1, cols]
+            i += i0
+            tau[cols] = times[i] + d0 / (d0 - d1) * (times[i + 1] - times[i])
+        crossed |= hit
+        i0 += rows.shape[0] - 1
+        prev = rows[-1].copy()
     tau[start] = times[0]
     return tau, start | crossed
 
 
-def build_char_field(H: HamiltonianSpec, X: SampledPath, phi: SmoothMap,
-                     box: GridBox, substeps: int = 1) -> CharField:
+def _seed_data(H: HamiltonianSpec, phi: SmoothMap, box: GridBox):
     if box.dim != H.state_dim:
         raise PathError("seed box dimension does not match the state dimension")
-    seeds, u0, p0 = seed_from_initial_data(phi, box.points())
+    return seed_from_initial_data(phi, box.points())
+
+
+def build_char_field(H: HamiltonianSpec, X: SampledPath, phi: SmoothMap,
+                     box: GridBox, substeps: int = 1) -> CharField:
+    seeds, u0, p0 = _seed_data(H, phi, box)
     A, B, C, alive_idx = _char_core(H, X, seeds, u0, p0, substeps)
-    jac = _seed_jacobian(box, A)
-    det = np.linalg.det(jac)
-    tau, folded = _first_zero_crossing(X.times, det)
+    jac = np.empty(A.shape + (box.dim,))
+    rows = _FOLD_BLOCK_ROWS
+    dets = (np.linalg.det(_seed_jacobian(box, A[s:s + rows], jac[s:s + rows]))
+            for s in range(0, A.shape[0], rows))
+    tau, folded = _first_zero_crossing(X.times, dets)
     return CharField(box=box, seeds=seeds, times=X.times, A=A, B=B, C=C,
-                     jac=jac, det=det, tau=tau, folded=folded,
+                     jac=jac, tau=tau, folded=folded,
                      alive_until=X.times[alive_idx])
+
+
+def fold_times(H: HamiltonianSpec, X: SampledPath, phi: SmoothMap,
+               box: GridBox, substeps: int = 1):
+    """(tau, folded) of build_char_field without keeping the history.
+
+    The sweep's a_t rows are gathered _FOLD_BLOCK_ROWS at a time, and each
+    block's seed Jacobian is scanned for folds and dropped, so memory is
+    O(seeds x block) for any driver length. The values are bitwise
+    build_char_field's.
+    """
+    seeds, u0, p0 = _seed_data(H, phi, box)
+    n, rows = X.n_points, _FOLD_BLOCK_ROWS
+    alive_idx = np.full(seeds.shape[0], n - 1, dtype=int)
+    buf = np.empty((min(rows, n),) + seeds.shape)
+
+    def dets():
+        for i, (a, _, _) in enumerate(_char_sweep(H, X, seeds, u0, p0, substeps, alive_idx)):
+            buf[i % rows] = a
+            if i % rows == rows - 1 or i == n - 1:
+                yield np.linalg.det(_seed_jacobian(box, buf[:i % rows + 1]))
+
+    return _first_zero_crossing(X.times, dets())
 
 
 def _invert_batch(field: CharField, idx: int, targets: np.ndarray,

@@ -69,12 +69,14 @@ def _euler_interval(field: FieldSpec, ts, dx: np.ndarray, y: np.ndarray) -> np.n
     return y
 
 
-def _store_step(hist: list, i: int, new: list, alive: np.ndarray, alive_idx: np.ndarray) -> list:
-    """Write step i+1 of each (n, m, ...) history from new, freezing rows.
+def _freeze_rows(new: list, i: int, alive: np.ndarray, alive_idx: np.ndarray,
+                 prev) -> list:
+    """The step-(i+1) arrays from new, with dead rows frozen.
 
     A row that turns non-finite in any array on interval i dies there
     (alive_idx = i, alive cleared) and keeps its step-i values from then
-    on. Returns the arrays to continue from.
+    on; prev() gives the step-i arrays and is called only once a row is
+    dead. Returns the arrays to continue from.
     """
     if not np.isfinite(sum(v.sum() for v in new)):  # one cheap pass while all is finite
         ok = np.logical_and.reduce(
@@ -83,10 +85,8 @@ def _store_step(hist: list, i: int, new: list, alive: np.ndarray, alive_idx: np.
         alive_idx[bad] = i
         alive &= ~bad
     if not alive.all():
-        new = [np.where(alive.reshape((-1,) + (1,) * (v.ndim - 1)), v, h[i])
-               for v, h in zip(new, hist)]
-    for v, h in zip(new, hist):
-        h[i + 1] = v
+        new = [np.where(alive.reshape((-1,) + (1,) * (v.ndim - 1)), v, p)
+               for v, p in zip(new, prev())]
     return new
 
 
@@ -117,7 +117,10 @@ def _euler_core(field: FieldSpec, X: SampledPath, y0s: np.ndarray,
                     step_lin = np.einsum("mdnk,n->mdk", field.jacobian_at(t, y), dx[i])
                     jac = jac + np.einsum("mde,mek->mdk", step_lin, jac)
                 y = y + _apply(field.value_at(t, y), dx[i])
-            cur = _store_step(hist, i, [y, jac] if with_jacobian else [y], alive, alive_idx)
+            cur = _freeze_rows([y, jac] if with_jacobian else [y], i, alive, alive_idx,
+                               lambda: [h[i] for h in hist])
+            for v, h in zip(cur, hist):
+                h[i + 1] = v
     return hist[0], (hist[1] if with_jacobian else None), alive_idx
 
 

@@ -13,7 +13,7 @@ import pytest
 import youngflow
 import youngflow.cli as cli
 from youngflow.cli import main
-from youngflow.io import load_schema, read_path_csv, read_solution_slice
+from youngflow.io import jsonable_times, load_schema, read_path_csv, read_solution_slice
 from youngflow.paths import p_variation_norm
 
 
@@ -79,10 +79,14 @@ def test_pvar_norm_is_p_variation_norm(capsys, fbm_csv):
     assert json.loads(out)["norm"] == p_variation_norm(read_path_csv(fbm_csv), 1.5)
 
 
-def test_cli_import_leaves_scipy_out():
+def _src_env():
     src = os.path.dirname(os.path.dirname(youngflow.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_leaves_scipy_out():
+    env = _src_env()
     heavy = ["scipy", "concurrent.futures", "jsonschema", "referencing",
              "importlib.metadata"]
     code = f"import sys, youngflow.cli; sys.exit(any(m in sys.modules for m in {heavy!r}))"
@@ -371,6 +375,22 @@ def test_blow_up_exits_three(capsys, workdir):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", [
+    ["pvar", "--p", "1.5", "--path", "OVF"],
+    ["integrate", "--integrand", "OVF", "--driver", "OVF", "--p", "1.5", "--q", "1.5"],
+    ["integrate", "--integrand", "OVF", "--driver", "OVF"],
+])
+def test_overflowing_variation_or_integral_exits_three(workdir, command):
+    # finite values whose increments overflow: ||dX||^2 and Z dX are inf
+    ovf = workdir / "overflow.csv"
+    ovf.write_text("t,x1\n0,0\n1,1e200\n2,-1e200\n")
+    argv = [str(ovf) if a == "OVF" else a for a in command]
+    res = subprocess.run([sys.executable, "-m", "youngflow.cli", *argv], env=_src_env(),
+                         capture_output=True, text=True)
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr.startswith("numeric failure: ") and res.stderr.count("\n") == 1
+
+
 def test_fbm_over_size_cap_exits_three(capsys, workdir):
     # one point past the default cap of 2^20 + 1
     rc = main(["gen", "fbm", "--n", "1048578", "--seed", "1",
@@ -444,6 +464,49 @@ def test_pde_solve_writes_slices(capsys, workdir):
     assert len(idx["files"]) == 5 and len(idx["times"]) == 5
     pts, u, du = read_solution_slice(os.path.join(d, idx["files"][-1]))
     assert pts.shape == (11, 1) and u.shape == (11,) and du.shape == (11, 1)
+
+
+@pytest.mark.parametrize("init, substeps, box", [("neg-half-square", "1", "--box=-2:2:101"),
+                                                 ("sin", "2", "--box=-2:2:41;-1:1:9")])
+def test_pde_caustic_equals_char_field_payload(capsys, negline_csv, init, substeps, box):
+    dim = box.count(";") + 1
+    rc, out = run(capsys, ["pde", "caustic", "--hamiltonian", "burgers-half-p-squared",
+                           "--init", init, "--driver", negline_csv, box,
+                           "--dim", str(dim), "--substeps", substeps])
+    assert rc == 0
+    grid = cli._box(box.split("=")[1], dim, "--box")
+    field = youngflow.build_char_field(
+        youngflow.builtins.get_hamiltonian("burgers-half-p-squared", dim),
+        read_path_csv(negline_csv), youngflow.builtins.get_initial_data(init, dim),
+        grid, substeps=int(substeps))
+    want = {
+        "tau_map": jsonable_times(field.tau_map()),
+        "min_tau": float(field.tau.min()),
+        "n_folded": int(field.folded.sum()),
+        "horizon": field.horizon,
+        "box": {"lower": list(grid.lower), "upper": list(grid.upper),
+                "counts": list(grid.counts)},
+    }
+    doc = json.loads(out)
+    assert doc.pop("meta")["tool"] == "youngflow"
+    assert doc == want and want["n_folded"] > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 129])
+def test_slice_indices_equal_np_unique(n):
+    for slices in range(1, n + 3):
+        ref = np.unique(np.linspace(0, n - 1, slices).round().astype(int))
+        assert np.array_equal(cli._slice_indices(n, slices), ref)
+
+
+def test_pde_solve_leaves_numpy_ma_out(workdir, lin17_csv):
+    code = ("import sys\nfrom youngflow.cli import main\n"
+            f"rc = main(['pde', 'solve', '--hamiltonian', 'transport-k', '--init', 'sin',"
+            f" '--driver', {lin17_csv!r}, '--box=-3:3:31', '--eval=-1:1:5',"
+            f" '--slices', '9', '-o', {str(workdir / 'ma_sol')!r}])\n"
+            "sys.exit(10 * rc + ('numpy.ma' in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True)
+    assert res.returncode == 0, res.stderr
 
 
 # ------------------------------------------------------------- determinism

@@ -25,6 +25,7 @@ from youngflow import (
     ScalarHamiltonian,
     assemble_solution_field,
     build_char_field,
+    fold_times,
     gen_deterministic,
     gen_fbm,
     interp_nodal,
@@ -369,3 +370,107 @@ def test_fd_partials_match_the_former_fd_vec():
     ref_dp = _ref_fd_vec(lambda pp: comp.value_at(0.3, x, u, pp), p, h)
     assert np.array_equal(comp.dx_at(0.3, x, u, p), ref_dx)
     assert np.array_equal(comp.dp_at(0.3, x, u, p), ref_dp)
+
+
+# ---------------------------------------------------- streamed fold scan
+
+
+def _blow_up_hamiltonian():
+    # F = u^2 + p^2 / 2: b and c blow up where u0 X_t reaches 1, a moves
+    # with c, so frozen seeds sit next to live ones in the Jacobian
+    comp = ScalarHamiltonian(value=lambda t, x, u, p: u ** 2 + 0.5 * np.sum(p ** 2, axis=-1),
+                             dx=lambda t, x, u, p: np.zeros_like(x),
+                             du=lambda t, x, u, p: 2.0 * u,
+                             dp=lambda t, x, u, p: p.copy())
+    return HamiltonianSpec(state_dim=1, components=(comp,))
+
+
+def _fold_cases():
+    X1 = gen_fbm(FbmSpec(hurst=0.8, n_points=257, seed=3))
+    X1 = SampledPath(X1.times, 1.5 * X1.values)
+    X2 = gen_fbm(FbmSpec(hurst=0.8, n_points=129, seed=4))
+    X2 = SampledPath(X2.times, 4.0 * X2.values)
+    burgers = get_hamiltonian("burgers-half-p-squared", 1)
+    line = _short_line(201)
+    return {
+        "burgers-1d": (burgers, X1, get_initial_data("sin", 1), GridBox((-3.0,), (3.0,), (113,)), 1),
+        "burgers-2d": (get_hamiltonian("burgers-half-p-squared", 2), X2,
+                       get_initial_data("gauss", 2), GridBox((-2.0, -2.0), (2.0, 2.0), (21, 19)), 1),
+        "transport-3d": (get_hamiltonian("transport-k", 3, {"k": 0.7}), X2,
+                         get_initial_data("sin", 3), GridBox((-2.0,) * 3, (2.0,) * 3, (9, 7, 8)), 1),
+        "blow-up": (_blow_up_hamiltonian(), SampledPath(line.times, 40.0 * line.values),
+                    get_initial_data("sin", 1), GridBox((-3.0,), (3.0,), (61,)), 1),
+        "substeps-2": (burgers, X1, get_initial_data("sin", 1), GridBox((-3.0,), (3.0,), (113,)), 2),
+    }
+
+
+@pytest.mark.parametrize("case", list(_fold_cases()))
+def test_streamed_fold_scan_matches_char_field_bitwise(case, monkeypatch):
+    H, X, phi, box, substeps = _fold_cases()[case]
+    field = build_char_field(H, X, phi, box, substeps=substeps)
+    if case in ("burgers-1d", "burgers-2d", "blow-up", "substeps-2"):
+        assert 0 < field.folded.sum() < box.n_points  # the case really folds
+    if case == "blow-up":
+        assert 0 < np.sum(field.alive_until < X.times[-1]) < box.n_points
+    whole = pde._first_zero_crossing(X.times, field.det)
+    for rows in (None, 1, 2, 3):
+        if rows is not None:
+            monkeypatch.setattr(pde, "_FOLD_BLOCK_ROWS", rows)
+            blocked = build_char_field(H, X, phi, box, substeps=substeps)
+            assert np.array_equal(blocked.jac, field.jac)
+            assert np.array_equal(blocked.tau, field.tau)
+            assert np.array_equal(blocked.folded, field.folded)
+        tau, folded = fold_times(H, X, phi, box, substeps=substeps)
+        for got, want in ((tau, field.tau), (folded, field.folded), (field.tau, whole[0]),
+                          (field.folded, whole[1])):
+            assert np.array_equal(got, want)
+
+
+def test_fold_scan_in_blocks_matches_the_whole_array():
+    times = np.linspace(0.0, 2.0, 9)
+    rng = np.random.default_rng(10)
+    det = np.column_stack(
+        [[1.0, 0.8, 0.5, 0.2, -0.1, -0.5, 0.3, 0.4, 0.5],  # crossing between rows 3 and 4
+         [0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+         [1.0, np.nan, 1.0, 0.5, -0.5, 1.0, 1.0, 1.0, 1.0]]
+        + [rng.normal(0.3, 1.0, 9) for _ in range(40)])
+    whole = pde._first_zero_crossing(times, det)
+    assert whole[1][0] and times[3] < whole[0][0] < times[4]
+    for rows in range(1, 10):  # rows = 4 puts column 0's crossing on a block boundary
+        blocks = (det[s:s + rows] for s in range(0, det.shape[0], rows))
+        got = pde._first_zero_crossing(times, blocks)
+        assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
+
+
+def test_fold_crossing_on_a_block_boundary(monkeypatch):
+    # X_t = -t folds every seed at t = 1; on 129 points over [0, 1.5] the
+    # first row with det <= 0 is row 86, so blocks of 43 rows put the
+    # crossing pair (85, 86) across the boundary between blocks 2 and 3
+    line = _short_line(129)
+    X = SampledPath(1.5 * line.times, -1.5 * line.values)
+    H = get_hamiltonian("burgers-half-p-squared", 1)
+    phi = get_initial_data("neg-half-square", 1)
+    box = GridBox((-2.0,), (2.0,), (41,))
+    field = build_char_field(H, X, phi, box)
+    first = np.argmax(field.det[:, 5] <= 0)
+    assert first == 86 and field.folded.all()
+    monkeypatch.setattr(pde, "_FOLD_BLOCK_ROWS", 43)
+    tau, folded = fold_times(H, X, phi, box)
+    assert np.array_equal(tau, field.tau) and np.array_equal(folded, field.folded)
+
+
+def test_fold_times_memory_does_not_grow_with_the_driver():
+    H = get_hamiltonian("burgers-half-p-squared", 1)
+    phi = get_initial_data("sin", 1)
+    box = GridBox((-3.0,), (3.0,), (401,))
+    peaks = []
+    for n in (2049, 8193):
+        X = gen_fbm(FbmSpec(hurst=0.8, n_points=n, seed=6))
+        tracemalloc.start()
+        try:
+            fold_times(H, X, phi, box)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the history of one of A, B, C at 8193 steps alone would be 26 MB
+    assert abs(peaks[1] - peaks[0]) < 2**20
