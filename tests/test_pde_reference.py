@@ -408,22 +408,20 @@ def _fold_cases():
 def test_streamed_fold_scan_matches_char_field_bitwise(case, monkeypatch):
     H, X, phi, box, substeps = _fold_cases()[case]
     field = build_char_field(H, X, phi, box, substeps=substeps)
-    if case in ("burgers-1d", "burgers-2d", "blow-up", "substeps-2"):
+    if case != "transport-3d":
         assert 0 < field.folded.sum() < box.n_points  # the case really folds
     if case == "blow-up":
         assert 0 < np.sum(field.alive_until < X.times[-1]) < box.n_points
-    whole = pde._first_zero_crossing(X.times, field.det)
-    for rows in (None, 1, 2, 3):
-        if rows is not None:
-            monkeypatch.setattr(pde, "_FOLD_BLOCK_ROWS", rows)
-            blocked = build_char_field(H, X, phi, box, substeps=substeps)
-            assert np.array_equal(blocked.jac, field.jac)
-            assert np.array_equal(blocked.tau, field.tau)
-            assert np.array_equal(blocked.folded, field.folded)
+    assert np.array_equal(pde._seed_jacobian(box, field.A), field.jac, equal_nan=True)  # one call
+    ref_tau, ref_folded = _ref_first_zero_crossing(X.times, field.det)
+    assert _same(field.tau, ref_tau) and np.array_equal(field.folded, ref_folded)
+    for rows in (pde._FOLD_BLOCK_ROWS, 1, 2, 3):
+        monkeypatch.setattr(pde, "_FOLD_BLOCK_ROWS", rows)
         tau, folded = fold_times(H, X, phi, box, substeps=substeps)
-        for got, want in ((tau, field.tau), (folded, field.folded), (field.tau, whole[0]),
-                          (field.folded, whole[1])):
-            assert np.array_equal(got, want)
+        assert _same(tau, field.tau) and np.array_equal(folded, field.folded)
+        blocked = build_char_field(H, X, phi, box, substeps=substeps)
+        assert np.array_equal(blocked.jac, field.jac, equal_nan=True)
+        assert _same(blocked.tau, field.tau) and np.array_equal(blocked.folded, field.folded)
 
 
 def test_fold_scan_in_blocks_matches_the_whole_array():
