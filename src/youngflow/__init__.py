@@ -28,7 +28,7 @@ from .symmetry import (SampleDomain, check_conserved_algebraic,
                        check_symmetry_map, check_symmetry_trajectory, lie_bracket,
                        propagate_observable)
 from .composition import PushforwardField, compose_flows, pushforward_field
-from .pde import (CausticError, CharField, CharTriple, GridBox,
+from .pde import (CausticError, CharField, CharStream, CharTriple, GridBox,
                   HamiltonianSpec, InversionError, ScalarHamiltonian,
                   assemble_solution, assemble_solution_field, build_char_field,
                   fold_times, interp_nodal, invert_char_map, pde_residual,

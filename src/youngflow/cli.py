@@ -31,9 +31,8 @@ from .drivers import (DETERMINISTIC_KINDS, DeterministicSpec, FbmSpec,
 from .drivers import GENERATOR_VERSION
 from .integrate import YoungConditionError, young_integral
 from .paths import PathError, p_variation
-from .pde import (CausticError, GridBox, InversionError,
-                  assemble_solution_field, build_char_field, fold_times,
-                  pde_residual)
+from .pde import (CausticError, CharStream, GridBox, InversionError,
+                  assemble_solution_field, fold_times, pde_residual)
 from .symmetry import (SampleDomain, check_conserved_algebraic,
                        check_conserved_trajectory, check_infinitesimal_symmetry,
                        check_symmetry_map, check_symmetry_trajectory)
@@ -357,16 +356,16 @@ def cmd_pde(args) -> int:
                     "counts": list(box.counts)},
         }, args.out, schema="caustic")
         return 0
-    field = build_char_field(H, X, phi, box, substeps=args.substeps)
+    stream = CharStream(H, X, phi, box, substeps=args.substeps)
     pts = _box(args.eval, args.dim, "--eval").points()
     if args.pde_cmd == "solve":
         idx = _slice_indices(X.n_points, args.slices)
-        sol = assemble_solution_field(field, pts, times=X.times[idx],
+        sol = assemble_solution_field(stream, pts, times=X.times[idx],
                                       newton_tol=args.newton_tol)
         yio.write_solution_field(args.out, sol)
         print(f"wrote {args.out} ({idx.size} slices)")
         return 0
-    sol = assemble_solution_field(field, pts, newton_tol=args.newton_tol)
+    sol = assemble_solution_field(stream, pts, newton_tol=args.newton_tol)
     rep = pde_residual(sol, H, X, phi, levels=args.levels)
     _emit(_residual_payload("pde", rep), args.out, schema="residual")
     return 0 if rep.converged else 1

@@ -15,18 +15,19 @@ axis-aligned uniform boxes, d <= 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .fields import DEFAULT_FD_STEP, SmoothMap, _fd_last_axis
-from .paths import PathError, SampledPath, dyadic_prefix
+from .paths import PathError, SampledPath, dyadic_prefix, dyadic_steps
 from .reports import CheckReport, ResidualReport, residual_ladder
 from .yde import _freeze_rows, substep_grid
 
 
 _NEAREST_CHUNK_BYTES = 4 * 2**20  # row block of the cold-start distance array
 _FOLD_BLOCK_ROWS = 64  # time rows per block of the seed Jacobian and the fold scan
+_RESIDUAL_CHUNK_ROWS = 256  # grid rows per chunk of the residual ladder's integrand
 
 
 class CausticError(RuntimeError):
@@ -249,6 +250,31 @@ def seed_from_initial_data(phi: SmoothMap, x: np.ndarray):
     return x, u, p
 
 
+class CharRow(NamedTuple):
+    """The characteristic data of every seed at one driver grid point.
+
+    tau and folded are the fold state as far as it is known: every
+    crossing up to at least the next grid point, which is all that
+    decides whether a cell is past its fold at t.
+    """
+
+    index: int
+    t: float
+    a: np.ndarray  # (m, d)
+    b: np.ndarray  # (m,)
+    c: np.ndarray  # (m, d)
+    jac: np.ndarray  # (m, d, d), D_x a_t across seeds
+    tau: np.ndarray  # (m,)
+    folded: np.ndarray  # (m,)
+
+
+def _grid_index(times: np.ndarray, t: float) -> int:
+    i = int(np.searchsorted(times, t))
+    if i >= times.size or times[i] != t:
+        raise PathError(f"time {t!r} is not a driver grid point")
+    return i
+
+
 @dataclass(frozen=True)
 class CharField:
     """Characteristic triples over a seed box, with fold diagnostics.
@@ -280,10 +306,14 @@ class CharField:
         return np.linalg.det(self.jac)
 
     def index_of(self, t: float) -> int:
-        i = int(np.searchsorted(self.times, t))
-        if i >= self.times.size or self.times[i] != t:
-            raise PathError(f"time {t!r} is not a driver grid point")
-        return i
+        return _grid_index(self.times, t)
+
+    def row(self, idx: int) -> CharRow:
+        return CharRow(idx, self.times[idx], self.A[idx], self.B[idx], self.C[idx],
+                       self.jac[idx], self.tau, self.folded)
+
+    def rows(self, indices):
+        return (self.row(i) for i in indices)
 
     def triple(self, seed_index: int) -> CharTriple:
         return CharTriple(
@@ -318,38 +348,50 @@ def _seed_jacobian(box: GridBox, A: np.ndarray, out: np.ndarray | None = None) -
     return out
 
 
-def _first_zero_crossing(times: np.ndarray, det):
-    """Linear-interpolation time of the first sign change per seed column.
+class _FoldScan:
+    """First linearly interpolated sign change of det per seed column.
 
-    det is the (n, m) array of determinants or an iterable of its
-    consecutive row blocks; each block's last row is carried over to pair
-    with the next block's first. Returns (tau, folded). Columns whose det
-    never changes sign get tau = horizon with folded = False, so
-    tau <= horizon always holds.
+    feed() takes consecutive row blocks of the (n, m) determinants; each
+    block's last row is carried over to pair with the next block's first.
+    After each feed, tau and folded (updated in place) hold every crossing
+    between the rows seen so far. Columns whose det has not changed sign
+    keep tau = horizon with folded = False, so tau <= horizon always holds.
     """
-    tau = start = crossed = prev = None
-    i0 = 0  # grid index of rows[0]
-    for block in [det] if isinstance(det, np.ndarray) else det:
-        if prev is None:
-            tau = np.full(block.shape[1], float(times[-1]))
-            start = block[0] <= 0
-            crossed = np.zeros_like(start)
+
+    def __init__(self, times: np.ndarray):
+        self.times = times
+        self.tau = self.folded = self._prev = None
+        self._i0 = 0  # grid index of the carried-over row
+
+    def feed(self, block: np.ndarray) -> None:
+        times = self.times
+        if self._prev is None:
+            self.tau = np.full(block.shape[1], float(times[-1]))
+            self.folded = block[0] <= 0
+            self.tau[self.folded] = times[0]
             rows = block
         else:
-            rows = np.concatenate([prev[None], block])
+            rows = np.concatenate([self._prev[None], block])
         sign_change = (rows[:-1] > 0) & (rows[1:] <= 0)
         hit = sign_change.any(axis=0)
-        cols = np.nonzero(hit & ~crossed & ~start)[0]
+        cols = np.nonzero(hit & ~self.folded)[0]
         if cols.size:
             i = np.argmax(sign_change[:, cols], axis=0)
             d0, d1 = rows[i, cols], rows[i + 1, cols]
-            i += i0
-            tau[cols] = times[i] + d0 / (d0 - d1) * (times[i + 1] - times[i])
-        crossed |= hit
-        i0 += rows.shape[0] - 1
-        prev = rows[-1].copy()
-    tau[start] = times[0]
-    return tau, start | crossed
+            i += self._i0
+            self.tau[cols] = times[i] + d0 / (d0 - d1) * (times[i + 1] - times[i])
+        self.folded |= hit
+        self._i0 += rows.shape[0] - 1
+        self._prev = rows[-1].copy()
+
+
+def _first_zero_crossing(times: np.ndarray, det):
+    """(tau, folded) of _FoldScan over the (n, m) array det or an
+    iterable of its consecutive row blocks."""
+    scan = _FoldScan(times)
+    for block in [det] if isinstance(det, np.ndarray) else det:
+        scan.feed(block)
+    return scan.tau, scan.folded
 
 
 def _seed_data(H: HamiltonianSpec, phi: SmoothMap, box: GridBox):
@@ -358,60 +400,109 @@ def _seed_data(H: HamiltonianSpec, phi: SmoothMap, box: GridBox):
     return seed_from_initial_data(phi, box.points())
 
 
+class CharStream:
+    """The characteristic rows of a seed box, one driver grid point at a time.
+
+    Iterating runs _char_sweep once and yields a CharRow per grid point,
+    in order. The a_t rows are gathered _FOLD_BLOCK_ROWS at a time, and
+    each block's seed Jacobian is computed and its determinant fed to the
+    fold scan, so memory is O(seeds x block) for any driver length. Row
+    idx is yielded only once the scan has seen row idx + 1: a crossing
+    between rows idx and idx + 1 can round to tau == t_idx, which blocks
+    slice idx. A row's arrays are buffers, valid until the next row is
+    requested. When the iteration ends, tau, folded and alive_until hold
+    build_char_field's values, bitwise.
+    """
+
+    def __init__(self, H: HamiltonianSpec, X: SampledPath, phi: SmoothMap,
+                 box: GridBox, substeps: int = 1):
+        if X.dim != H.n_drivers:
+            raise PathError("driver dimension does not match the component count")
+        self.seeds, self._u0, self._p0 = _seed_data(H, phi, box)
+        self.box, self.times = box, X.times
+        self._H, self._X, self._substeps = H, X, substeps
+        self.tau = self.folded = self.alive_until = None
+
+    def index_of(self, t: float) -> int:
+        return _grid_index(self.times, t)
+
+    def rows(self, indices):
+        """The rows at non-decreasing grid indices; the sweep runs to the end."""
+        indices = list(indices)
+        if any(j < i for i, j in zip(indices, indices[1:])):
+            raise PathError("a CharStream yields grid times in increasing order only")
+        k = 0
+        for row in self:
+            while k < len(indices) and indices[k] == row.index:
+                yield row
+                k += 1
+
+    def __iter__(self):
+        X, box, times = self._X, self.box, self.times
+        n, (m, d) = X.n_points, self.seeds.shape
+        size = min(_FOLD_BLOCK_ROWS, n)
+        A, B, C = np.empty((size, m, d)), np.empty((size, m)), np.empty((size, m, d))
+        J = np.empty((size, m, d, d))
+        alive_idx = np.full(m, n - 1, dtype=int)
+        scan = _FoldScan(times)
+        held = None  # the last row of the previous block
+        sweep = _char_sweep(self._H, X, self.seeds, self._u0, self._p0, self._substeps,
+                            alive_idx)
+        for i, (a, b, c) in enumerate(sweep):
+            s = i % size
+            A[s], B[s], C[s] = a, b, c
+            if s < size - 1 and i < n - 1:
+                continue
+            scan.feed(np.linalg.det(_seed_jacobian(box, A[:s + 1], J[:s + 1])))
+            if held is not None:
+                yield CharRow(i - s - 1, times[i - s - 1], *held, scan.tau, scan.folded)
+            for r in range(s):
+                yield CharRow(i - s + r, times[i - s + r], A[r], B[r], C[r], J[r],
+                              scan.tau, scan.folded)
+            held = tuple(v[s].copy() for v in (A, B, C, J))
+        self.tau, self.folded, self.alive_until = scan.tau, scan.folded, times[alive_idx]
+        yield CharRow(n - 1, times[n - 1], *held, scan.tau, scan.folded)
+
+
 def build_char_field(H: HamiltonianSpec, X: SampledPath, phi: SmoothMap,
                      box: GridBox, substeps: int = 1) -> CharField:
-    seeds, u0, p0 = _seed_data(H, phi, box)
-    A, B, C, alive_idx = _char_core(H, X, seeds, u0, p0, substeps)
-    jac = np.empty(A.shape + (box.dim,))
-    rows = _FOLD_BLOCK_ROWS
-    dets = (np.linalg.det(_seed_jacobian(box, A[s:s + rows], jac[s:s + rows]))
-            for s in range(0, A.shape[0], rows))
-    tau, folded = _first_zero_crossing(X.times, dets)
-    return CharField(box=box, seeds=seeds, times=X.times, A=A, B=B, C=C,
-                     jac=jac, tau=tau, folded=folded,
-                     alive_until=X.times[alive_idx])
+    """Every row of CharStream, kept for the checks that need the whole history."""
+    stream = CharStream(H, X, phi, box, substeps)
+    n, (m, d) = X.n_points, stream.seeds.shape
+    A, B, C = np.empty((n, m, d)), np.empty((n, m)), np.empty((n, m, d))
+    jac = np.empty((n, m, d, d))
+    for row in stream:
+        A[row.index], B[row.index], C[row.index], jac[row.index] = row.a, row.b, row.c, row.jac
+    return CharField(box=box, seeds=stream.seeds, times=X.times, A=A, B=B, C=C,
+                     jac=jac, tau=stream.tau, folded=stream.folded,
+                     alive_until=stream.alive_until)
 
 
 def fold_times(H: HamiltonianSpec, X: SampledPath, phi: SmoothMap,
                box: GridBox, substeps: int = 1):
-    """(tau, folded) of build_char_field without keeping the history.
-
-    The sweep's a_t rows are gathered _FOLD_BLOCK_ROWS at a time, and each
-    block's seed Jacobian is scanned for folds and dropped, so memory is
-    O(seeds x block) for any driver length. The values are bitwise
-    build_char_field's.
-    """
-    seeds, u0, p0 = _seed_data(H, phi, box)
-    n, rows = X.n_points, _FOLD_BLOCK_ROWS
-    alive_idx = np.full(seeds.shape[0], n - 1, dtype=int)
-    buf = np.empty((min(rows, n),) + seeds.shape)
-
-    def dets():
-        for i, (a, _, _) in enumerate(_char_sweep(H, X, seeds, u0, p0, substeps, alive_idx)):
-            buf[i % rows] = a
-            if i % rows == rows - 1 or i == n - 1:
-                yield np.linalg.det(_seed_jacobian(box, buf[:i % rows + 1]))
-
-    return _first_zero_crossing(X.times, dets())
+    """(tau, folded) of build_char_field from CharStream, in its bounded memory."""
+    stream = CharStream(H, X, phi, box, substeps)
+    for _ in stream:
+        pass
+    return stream.tau, stream.folded
 
 
-def _invert_batch(field: CharField, idx: int, targets: np.ndarray,
+def _invert_batch(box: GridBox, seeds: np.ndarray, row: CharRow, targets: np.ndarray,
                   newton_tol: float, max_iter: int, x0: np.ndarray | None = None):
-    """Newton on the interpolated map a_t.
+    """Newton on the interpolated map a_t of one CharRow.
 
     Returns (x, loc, ok, pre, inside): the preimages, their _locate
     lookup, and the convergence, pre-fold cell corners and
     preimage-in-seed-box masks. Outside the box the interpolant
     extrapolates linearly, so only in-hull preimages are trustworthy.
     """
-    box = field.box
     Y = np.atleast_2d(np.asarray(targets, dtype=float))
     if Y.shape[-1] != box.dim:
         raise PathError(f"targets have {Y.shape[-1]} coordinates, the seed box {box.dim}")
-    A = field.A[idx]
-    J = field.jac[idx]
+    A = row.a
+    J = row.jac
     if x0 is None:
-        x = field.seeds[_nearest_nodes(A, Y)]
+        x = seeds[_nearest_nodes(A, Y)]
     else:
         x = np.array(x0, dtype=float)
     loc = _locate(box, x)
@@ -433,7 +524,7 @@ def _invert_batch(field: CharField, idx: int, targets: np.ndarray,
         r = _interp(loc, A) - Y
         nrm = np.linalg.norm(r, axis=1)
     corners = loc[0]
-    blocked = field.folded[corners] & (field.tau[corners] <= field.times[idx])
+    blocked = row.folded[corners] & (row.tau[corners] <= row.t)
     inside = ((x >= box.lower) & (x <= box.upper)).all(axis=1)
     return x, loc, nrm <= newton_tol, ~blocked.any(axis=1), inside
 
@@ -453,7 +544,8 @@ def invert_char_map(field: CharField, t: float, y, newton_tol: float = 1e-10,
     """Preimage under the interpolated characteristic map at grid time t."""
     idx = field.index_of(t)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    x, _, ok, pre, inside = _invert_batch(field, idx, y[None, :], newton_tol, max_iter)
+    x, _, ok, pre, inside = _invert_batch(field.box, field.seeds, field.row(idx), y[None, :],
+                                          newton_tol, max_iter)
     if not pre[0]:
         raise CausticError(f"t={t} is at or beyond the fold for this region")
     if not inside[0]:
@@ -482,32 +574,38 @@ class SolutionField:
     sigma_proxy: np.ndarray
 
 
-def assemble_solution(field: CharField, t: float, points,
+def assemble_solution(source, t: float, points,
                       newton_tol: float = 1e-10, max_iter: int = 50):
     """One time slice: (u (k,), du (k, d), valid (k,)) at the given points."""
-    sol = assemble_solution_field(field, points, [t], newton_tol, max_iter)
+    sol = assemble_solution_field(source, points, [t], newton_tol, max_iter)
     return sol.u[0], sol.du[0], sol.valid[0]
 
 
-def assemble_solution_field(field: CharField, points, times=None,
+def assemble_solution_field(source, points, times=None,
                             newton_tol: float = 1e-10, max_iter: int = 50) -> SolutionField:
-    """Assemble u, Du over many times, warm-starting the inversions."""
+    """Assemble u, Du over many times, warm-starting the inversions.
+
+    source is a CharField or a CharStream. A stream takes the times in
+    increasing order and runs to its end, so the result is the same as
+    from the stream's CharField while memory stays O(seeds x block) plus
+    the outputs.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if times is None:
-        times = field.times
+        times = source.times
     times = np.asarray(times, dtype=float)
     k = pts.shape[0]
     u = np.empty((times.size, k))
-    du = np.empty((times.size, k, field.box.dim))
+    du = np.empty((times.size, k, source.box.dim))
     valid = np.empty((times.size, k), dtype=bool)
     x_prev = None
-    for r, t in enumerate(times):
-        idx = field.index_of(float(t))
-        x, loc, ok, pre, inside = _invert_batch(field, idx, pts, newton_tol, max_iter,
-                                                x0=x_prev)
+    rows = source.rows(source.index_of(float(t)) for t in times)
+    for r, row in enumerate(rows):
+        x, loc, ok, pre, inside = _invert_batch(source.box, source.seeds, row, pts,
+                                                newton_tol, max_iter, x0=x_prev)
         v = ok & pre & inside
-        u[r] = _interp(loc, field.B[idx])
-        du[r] = _interp(loc, field.C[idx])
+        u[r] = _interp(loc, row.b)
+        du[r] = _interp(loc, row.c)
         valid[r] = v
         x_prev = x
         if not v.all():
@@ -520,7 +618,7 @@ def assemble_solution_field(field: CharField, points, times=None,
         if bad.size:
             sigma[j] = float(times[bad[0]])
     return SolutionField(points=pts, times=times, u=u, du=du, valid=valid,
-                         tau_map=field.tau.copy(), sigma_proxy=sigma)
+                         tau_map=source.tau.copy(), sigma_proxy=sigma)
 
 
 def pde_residual(sol: SolutionField, H: HamiltonianSpec, X: SampledPath,
@@ -528,32 +626,50 @@ def pde_residual(sol: SolutionField, H: HamiltonianSpec, X: SampledPath,
     """sup over valid (t, x) of |u - phi(x) - sum_j int F^j(r, x, u, Du) dX^j|.
 
     The solution must be sampled on the full driver grid; each dyadic
-    level re-sums the integrand on its own sub-grid (left tags).
+    level re-sums the integrand on its own sub-grid (left tags). One pass
+    over _RESIDUAL_CHUNK_ROWS grid rows at a time evaluates the integrand
+    and carries every level's running sum, so memory beyond the solution
+    is O(chunk x points).
     """
     if not np.array_equal(sol.times, X.times):
         raise PathError("pde_residual needs the solution on the driver grid")
     X = dyadic_prefix(X, levels)
     n, k = X.n_points, sol.u.shape[1]
-    G = np.zeros((H.n_drivers, n, k))
     pts = sol.points
-    with np.errstate(invalid="ignore"):
-        for j, comp in enumerate(H.components):
-            for i in range(n):
-                G[j, i] = comp.value_at(X.times[i], pts, sol.u[i], sol.du[i])
     phi0 = phi.value_at(pts)[..., 0]
     always_valid = sol.valid[:n].all(axis=0)
     if not always_valid.any():
         raise CausticError("no evaluation point stays valid over the horizon")
-    scale = float(np.nanmax(np.abs(sol.u)))
+    steps = dyadic_steps(n, levels)
+    chunk = steps[0] * max(1, _RESIDUAL_CHUNK_ROWS // steps[0])  # each level starts its rows
+    scale = -np.inf
+    for s in range(0, sol.u.shape[0], chunk):  # NaN-ignoring max of |u|, as np.nanmax
+        scale = max(scale, float(np.fmax.reduce(np.abs(sol.u[s:s + chunk]), axis=None)))
+    W = {step: np.zeros(k) for step in steps}  # each level's sum up to the chunk's first row
+    worst = dict.fromkeys(steps, -np.inf)
 
-    def level(step, Xk):
-        tsel = np.arange(0, n, step)
-        incr = np.einsum("jik,ij->ik", G[:, tsel[:-1], :], np.diff(Xk.values, axis=0))
-        W = np.concatenate([np.zeros((1, k)), np.cumsum(incr, axis=0)])
-        resid = sol.u[tsel] - phi0[None, :] - W
-        return Xk.mesh, float(np.max(np.abs(resid[:, always_valid]))), scale
+    def track(step, rows, left):
+        resid = sol.u[rows] - phi0 - left  # NaN in a valid column propagates, as np.max
+        worst[step] = np.maximum(worst[step], np.max(np.abs(resid[..., always_valid])))
 
-    return residual_ladder(X, levels, level)
+    for s in range(0, n - 1, chunk):
+        e = min(s + chunk, n - 1)
+        G = np.empty((H.n_drivers, e - s, k))
+        with np.errstate(invalid="ignore"):
+            for j, comp in enumerate(H.components):
+                for i in range(s, e):
+                    G[j, i - s] = comp.value_at(X.times[i], pts, sol.u[i], sol.du[i])
+        for step in steps:
+            rows = np.arange(s, e, step)
+            incr = np.einsum("jik,ij->ik", G[:, rows - s], X.values[rows + step] - X.values[rows])
+            if s:
+                incr[0] += W[step]  # the running sum continues bitwise, as one cumsum
+            run = np.cumsum(incr, axis=0)
+            track(step, rows, np.concatenate([W[step][None], run[:-1]]))
+            W[step] = run[-1]
+    for step in steps:
+        track(step, n - 1, W[step])
+    return residual_ladder(X, levels, lambda step, Xk: (Xk.mesh, float(worst[step]), scale))
 
 
 def verify_inverse_flow_equation(field: CharField, H: HamiltonianSpec, X: SampledPath,
@@ -572,20 +688,21 @@ def verify_inverse_flow_equation(field: CharField, H: HamiltonianSpec, X: Sample
     P = np.empty((n, k, field.box.dim))
     SJ = np.empty((H.n_drivers, n, k, field.box.dim))
     x_prev = None
-    for i in range(n):
-        x, loc, ok, pre, inside = _invert_batch(field, i, pts, newton_tol, max_iter, x0=x_prev)
+    for i, row in enumerate(field.rows(range(n))):
+        x, loc, ok, pre, inside = _invert_batch(field.box, field.seeds, row, pts, newton_tol,
+                                                max_iter, x0=x_prev)
         if not pre.all():
             raise CausticError("inverse-flow check needs pre-fold points throughout")
         if not (ok & inside).all():
             raise InversionError("inverse-flow check lost coverage of a preimage")
         P[i] = x
         x_prev = x
-        bq = _interp(loc, field.B[i])
-        cq = _interp(loc, field.C[i])
-        jq = _interp(loc, field.jac[i])
+        bq = _interp(loc, row.b)
+        cq = _interp(loc, row.c)
+        jq = _interp(loc, row.jac)
         jinv = np.linalg.inv(jq)
         for j, comp in enumerate(H.components):
-            fp = comp.dp_at(field.times[i], pts, bq, cq)
+            fp = comp.dp_at(row.t, pts, bq, cq)
             SJ[j, i] = np.einsum("kde,ke->kd", jinv, fp)
     scale = float(np.max(np.abs(P)))
 

@@ -13,7 +13,8 @@ import pytest
 import youngflow
 import youngflow.cli as cli
 from youngflow.cli import main
-from youngflow.io import jsonable_times, load_schema, read_path_csv, read_solution_slice
+from youngflow.io import (jsonable_times, load_schema, read_path_csv, read_solution_slice,
+                         write_path_csv)
 from youngflow.paths import p_variation_norm
 
 
@@ -490,6 +491,23 @@ def test_pde_caustic_equals_char_field_payload(capsys, negline_csv, init, subste
     doc = json.loads(out)
     assert doc.pop("meta")["tool"] == "youngflow"
     assert doc == want and want["n_folded"] > 0
+
+
+@pytest.mark.parametrize("sub, extra", [("solve", ["--eval=-1:1:5", "-o", "OUT"]),
+                                        ("residual", ["--eval=-1:1:5", "-o", "OUT"]),
+                                        ("caustic", ["-o", "OUT"])])
+def test_pde_driver_wider_than_the_hamiltonian_exits_two(capsys, workdir, lin17_csv, sub, extra):
+    # a t,x1,x2 driver against a one-component Hamiltonian: x2 is not ignored
+    wide = str(workdir / "wide17.csv")
+    X = read_path_csv(lin17_csv)
+    write_path_csv(wide, youngflow.SampledPath(X.times, np.column_stack([X.values, -X.values])))
+    out = str(workdir / f"never_wide_{sub}")
+    rc = main(["pde", sub, "--hamiltonian", "burgers-half-p-squared", "--init", "sin",
+               "--driver", wide, "--box=-2:2:21"] + [out if a == "OUT" else a for a in extra])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: driver dimension does not match the component count\n"
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 64, 129])

@@ -23,13 +23,16 @@ from youngflow import (
     PathError,
     SampledPath,
     ScalarHamiltonian,
+    CharStream,
     assemble_solution_field,
     build_char_field,
     fold_times,
     gen_deterministic,
     gen_fbm,
     interp_nodal,
+    pde_residual,
 )
+from youngflow.paths import dyadic_prefix, dyadic_steps
 from youngflow.builtins import get_hamiltonian, get_initial_data
 
 # ------------------------------------------------------------- reference
@@ -191,6 +194,29 @@ def _ref_char_core(H, X, A0, B0, C0):
     return A, B, C, alive_idx
 
 
+def _ref_pde_residual_rows(sol, H, X, phi, levels):
+    """The (mesh, residual, scale) rows of the ladder from whole-grid tables."""
+    X = dyadic_prefix(X, levels)
+    n, k = X.n_points, sol.u.shape[1]
+    G = np.zeros((H.n_drivers, n, k))
+    with np.errstate(invalid="ignore"):
+        for j, comp in enumerate(H.components):
+            for i in range(n):
+                G[j, i] = comp.value_at(X.times[i], sol.points, sol.u[i], sol.du[i])
+    phi0 = phi.value_at(sol.points)[..., 0]
+    always_valid = sol.valid[:n].all(axis=0)
+    scale = float(np.nanmax(np.abs(sol.u)))
+    rows = []
+    for step in dyadic_steps(n, levels):
+        Xk = X.subsample(step)
+        tsel = np.arange(0, n, step)
+        incr = np.einsum("jik,ij->ik", G[:, tsel[:-1], :], np.diff(Xk.values, axis=0))
+        W = np.concatenate([np.zeros((1, k)), np.cumsum(incr, axis=0)])
+        resid = sol.u[tsel] - phi0[None, :] - W
+        rows.append((Xk.mesh, float(np.max(np.abs(resid[:, always_valid]))), scale))
+    return rows
+
+
 def _same(a, b):
     return np.array_equal(a, b, equal_nan=True)
 
@@ -279,7 +305,8 @@ def test_invert_rejects_targets_of_the_wrong_width():
                              get_initial_data("sin", 2),
                              GridBox((-2.0, -2.0), (2.0, 2.0), (9, 9)))
     with pytest.raises(PathError):
-        pde._invert_batch(field, 2, np.linspace(-1.0, 1.0, 5)[:, None], 1e-10, 50)
+        pde._invert_batch(field.box, field.seeds, field.row(2),
+                          np.linspace(-1.0, 1.0, 5)[:, None], 1e-10, 50)
     with pytest.raises(PathError):
         assemble_solution_field(field, np.zeros((3, 3)))
 
@@ -293,7 +320,7 @@ def test_chunked_nearest_search_gives_the_same_preimages(monkeypatch):
                              get_initial_data("gauss", 2),
                              GridBox((-2.0, -2.0), (2.0, 2.0), (31, 29)))
     targets = np.random.default_rng(5).uniform(-1.5, 1.5, (57, 2))
-    whole = pde._invert_batch(field, 20, targets, 1e-10, 50)
+    whole = pde._invert_batch(field.box, field.seeds, field.row(20), targets, 1e-10, 50)
     ref = _ref_invert_batch(field, 20, targets, 1e-10, 50)
     assert np.array_equal(whole[0], ref[0])
     for k in (2, 3):
@@ -301,7 +328,7 @@ def test_chunked_nearest_search_gives_the_same_preimages(monkeypatch):
     one_row = field.A[20].nbytes
     for budget in (1, one_row, 7 * one_row + 1):
         monkeypatch.setattr(pde, "_NEAREST_CHUNK_BYTES", budget)
-        got = pde._invert_batch(field, 20, targets, 1e-10, 50)
+        got = pde._invert_batch(field.box, field.seeds, field.row(20), targets, 1e-10, 50)
         assert np.array_equal(got[0], whole[0])
         assert all(np.array_equal(g, w) for g, w in zip(got[2:], whole[2:]))
 
@@ -475,3 +502,158 @@ def test_fold_times_memory_does_not_grow_with_the_driver():
             tracemalloc.stop()
     # the history of one of A, B, C at 8193 steps alone would be 26 MB
     assert abs(peaks[1] - peaks[0]) < 2**20
+
+
+# ------------------------------------------------------------ row stream
+
+
+def test_driver_width_must_match_the_component_count():
+    X = _short_line(17)
+    wide = SampledPath(X.times, np.column_stack([X.values, -X.values]))
+    args = (get_hamiltonian("burgers-half-p-squared", 1), wide, get_initial_data("sin", 1),
+            GridBox((-2.0,), (2.0,), (21,)))
+    for build in (build_char_field, fold_times, CharStream):
+        with pytest.raises(PathError, match="component count"):
+            build(*args)
+
+
+def _eval_points(box):
+    # a box inside the seed box whose points fall between seed nodes
+    lo, hi = np.asarray(box.lower), np.asarray(box.upper)
+    mid, half = (lo + hi) / 2, 0.45 * (hi - lo)
+    return GridBox(tuple(mid - half), tuple(mid + half), (9,) + (4,) * (box.dim - 1)).points()
+
+
+@pytest.mark.parametrize("case", list(_fold_cases()))
+def test_stream_assembly_matches_char_field_bitwise(case, monkeypatch):
+    H, X, phi, box, substeps = _fold_cases()[case]
+    field = build_char_field(H, X, phi, box, substeps=substeps)
+    pts = _eval_points(box)
+    slices = X.times[np.r_[0:X.n_points:7, 5, 5, -1]]  # sorted below, with a repeat
+    slices.sort()
+    want = {key: assemble_solution_field(field, pts, times)
+            for key, times in (("all", None), ("slices", slices))}
+    if field.folded.any():
+        assert 0 < want["all"].valid.mean() < 1  # some slices are past the fold
+    for rows in (64, 1, 2, 3):
+        monkeypatch.setattr(pde, "_FOLD_BLOCK_ROWS", rows)
+        for key, times in (("all", None), ("slices", slices)):
+            got = assemble_solution_field(CharStream(H, X, phi, box, substeps), pts, times)
+            for name in ("u", "du", "valid", "sigma_proxy", "tau_map"):
+                assert _same(getattr(got, name), getattr(want[key], name)), (rows, key, name)
+
+
+def test_stream_takes_times_in_increasing_order_only():
+    X = _short_line(9)
+    stream = CharStream(get_hamiltonian("transport-k", 1), X, get_initial_data("sin", 1),
+                        GridBox((-2.0,), (2.0,), (21,)))
+    with pytest.raises(PathError, match="increasing"):
+        assemble_solution_field(stream, np.zeros((2, 1)), X.times[[3, 2]])
+
+
+def test_a_crossing_that_rounds_to_t_idx_blocks_slice_idx(monkeypatch):
+    # det crosses zero between rows idx and idx + 1 at frac = 1e-16 of the
+    # step, so tau = 0.5 + 1e-16 * 2^-11 rounds to t_idx = 0.5 exactly:
+    # slice idx is past the fold although det is positive on row idx. The
+    # stream may only yield row idx once the scan has seen row idx + 1.
+    X = _short_line(2049)
+    idx = 1024
+    assert X.times[idx] == 0.5 and X.times[idx + 1] - X.times[idx] == 2.0 ** -11
+    H = get_hamiltonian("transport-k", 1)
+    phi = get_initial_data("sin", 1)
+    box = GridBox((-3.0,), (3.0,), (61,))
+    real = pde._seed_jacobian
+    seen = [0]  # grid index of the next row the Jacobian is asked for
+
+    def crossing_jacobian(box, A, out=None):
+        jac = real(box, A, out)
+        rows = np.arange(seen[0], seen[0] + A.shape[0])
+        jac[rows == idx] = 1e-16
+        jac[rows == idx + 1] = -1.0
+        seen[0] += A.shape[0]
+        return jac
+
+    monkeypatch.setattr(pde, "_seed_jacobian", crossing_jacobian)
+    pts = np.linspace(-1.0, 1.0, 5)[:, None]
+    times = X.times[idx - 1:idx + 2]
+    for rows in (1, 5, 25, 41):  # each divides idx + 1 = 1025: row idx closes a block
+        monkeypatch.setattr(pde, "_FOLD_BLOCK_ROWS", rows)
+        seen[0] = 0
+        field = build_char_field(H, X, phi, box)
+        assert (field.tau == X.times[idx]).all() and field.folded.all()
+        stored = assemble_solution_field(field, pts, times)
+        seen[0] = 0
+        streamed = assemble_solution_field(CharStream(H, X, phi, box), pts, times)
+        for sol in (stored, streamed):
+            assert sol.valid.tolist() == [[True] * 5, [False] * 5, [False] * 5]
+            assert np.array_equal(sol.sigma_proxy, np.full(5, 0.5))
+        for name in ("u", "du", "tau_map"):
+            assert _same(getattr(streamed, name), getattr(stored, name))
+
+
+def test_streamed_solve_and_residual_memory_grows_only_with_the_outputs():
+    H = get_hamiltonian("transport-k", 1, {"k": 0.7})
+    phi = get_initial_data("sin", 1)
+    box = GridBox((-4.0,), (4.0,), (401,))
+    pts = np.linspace(-1.0, 1.0, 21)[:, None]
+    peaks, outputs = {}, {}
+    for n in (2049, 8193):
+        X = gen_fbm(FbmSpec(hurst=0.8, n_points=n, seed=6))
+        for call, times in (("solve", X.times[::256]), ("residual", None)):
+            tracemalloc.start()
+            try:
+                sol = assemble_solution_field(CharStream(H, X, phi, box), pts, times)
+                if call == "residual":
+                    assert pde_residual(sol, H, X, phi).converged
+                peaks[call, n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sol.valid.all()
+            outputs[call, n] = sum(a.nbytes for a in (sol.u, sol.du, sol.valid))
+    # the history of one of A, B, C at 8193 steps alone would be 26 MB
+    for call in ("solve", "residual"):
+        grown = peaks[call, 8193] - peaks[call, 2049]
+        assert grown <= outputs[call, 8193] - outputs[call, 2049] + 2**20, call
+
+
+def _residual_cases():
+    X = gen_fbm(FbmSpec(hurst=0.8, n_points=257, seed=5))
+    transport = get_hamiltonian("transport-k", 1, {"k": 0.7})
+    sin = get_initial_data("sin", 1)
+    box = GridBox((-3.0,), (3.0,), (121,))
+    X2 = gen_fbm(FbmSpec(hurst=0.8, n_points=129, seed=6))
+    two = HamiltonianSpec(state_dim=1, components=(
+        transport.components[0], get_hamiltonian("burgers-half-p-squared", 1).components[0]))
+    X2 = SampledPath(X2.times, np.column_stack([X2.values, 0.3 * X.values[:129]]))
+    cut = gen_fbm(FbmSpec(hurst=0.8, n_points=1024, seed=7))  # 1023 intervals: a prefix
+    fold = _folding_burgers_field()
+    return {
+        "transport": (transport, X, sin, build_char_field(transport, X, sin, box)),
+        "two-drivers": (two, X2, sin, build_char_field(two, X2, sin, box)),
+        "prefix": (transport, cut, sin, build_char_field(transport, cut, sin, box)),
+        "folding": (get_hamiltonian("burgers-half-p-squared", 1), SampledPath(
+            fold.times, 1.5 * gen_fbm(FbmSpec(hurst=0.8, n_points=257, seed=3)).values),
+            sin, fold),
+    }
+
+
+@pytest.mark.parametrize("case", list(_residual_cases()))
+def test_chunked_residual_ladder_matches_whole_grid_tables(case, monkeypatch):
+    H, X, phi, field = _residual_cases()[case]
+    sol = assemble_solution_field(field, np.linspace(-2.5, 2.5, 21)[:, None])
+    if case == "folding":
+        assert 0 < sol.valid.all(axis=0).sum() < 21 and not sol.valid.all(axis=1)[-1]
+    real = pde.residual_ladder
+    got = []
+
+    def spy(paths, levels, level_fn):
+        return real(paths, levels, lambda *args: got.append(level_fn(*args)) or got[-1])
+
+    monkeypatch.setattr(pde, "residual_ladder", spy)
+    for levels in (1, 3, 4):
+        want = _ref_pde_residual_rows(sol, H, X, phi, levels)
+        for rows in (256, 1, 6, 16):  # chunks of 2^(levels-1) rows and up
+            monkeypatch.setattr(pde, "_RESIDUAL_CHUNK_ROWS", rows)
+            got.clear()
+            pde_residual(sol, H, X, phi, levels=levels)
+            assert repr(got) == repr(want), (levels, rows)
