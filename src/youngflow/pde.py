@@ -410,8 +410,8 @@ class CharStream:
     idx is yielded only once the scan has seen row idx + 1: a crossing
     between rows idx and idx + 1 can round to tau == t_idx, which blocks
     slice idx. A row's arrays are buffers, valid until the next row is
-    requested. When the iteration ends, tau, folded and alive_until hold
-    build_char_field's values, bitwise.
+    requested. When the iteration ends, tau, folded and alive_until are
+    final.
     """
 
     def __init__(self, H: HamiltonianSpec, X: SampledPath, phi: SmoothMap,
