@@ -27,6 +27,7 @@ from .yde import _freeze_rows, substep_grid
 
 _NEAREST_CHUNK_BYTES = 4 * 2**20  # row block of the cold-start distance array
 _FOLD_BLOCK_ROWS = 64  # time rows per block of the seed Jacobian and the fold scan
+_FOLD_BLOCK_BYTES = 8 * 2**20  # fewer rows when a block's A, B, C and jac would exceed this
 _RESIDUAL_CHUNK_ROWS = 256  # grid rows per chunk of the residual ladder's integrand
 
 
@@ -406,7 +407,8 @@ class CharStream:
     Iterating runs _char_sweep once and yields a CharRow per grid point,
     in order. The a_t rows are gathered _FOLD_BLOCK_ROWS at a time, and
     each block's seed Jacobian is computed and its determinant fed to the
-    fold scan, so memory is O(seeds x block) for any driver length. Row
+    fold scan, so memory is O(seeds x block) for any driver length; large
+    seed boxes get fewer rows per block (_FOLD_BLOCK_BYTES). Row
     idx is yielded only once the scan has seen row idx + 1: a crossing
     between rows idx and idx + 1 can round to tau == t_idx, which blocks
     slice idx. A row's arrays are buffers, valid until the next row is
@@ -440,7 +442,7 @@ class CharStream:
     def __iter__(self):
         X, box, times = self._X, self.box, self.times
         n, (m, d) = X.n_points, self.seeds.shape
-        size = min(_FOLD_BLOCK_ROWS, n)
+        size = max(1, min(_FOLD_BLOCK_ROWS, n, _FOLD_BLOCK_BYTES // (8 * m * (2 * d + 1 + d * d))))
         A, B, C = np.empty((size, m, d)), np.empty((size, m)), np.empty((size, m, d))
         J = np.empty((size, m, d, d))
         alive_idx = np.full(m, n - 1, dtype=int)

@@ -657,3 +657,20 @@ def test_chunked_residual_ladder_matches_whole_grid_tables(case, monkeypatch):
             got.clear()
             pde_residual(sol, H, X, phi, levels=levels)
             assert repr(got) == repr(want), (levels, rows)
+
+
+def test_large_seed_boxes_get_fewer_rows_per_block():
+    # 25^3 seeds: 64 rows of A, B, C and jac alone would be 128 MB
+    H = get_hamiltonian("transport-k", 3, {"k": 0.7})
+    phi = get_initial_data("sin", 3)
+    box = GridBox((-2.0,) * 3, (2.0,) * 3, (25,) * 3)
+    X = gen_fbm(FbmSpec(hurst=0.8, n_points=65, seed=8))
+    tracemalloc.start()
+    try:
+        tau, folded = fold_times(H, X, phi, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+    field = build_char_field(H, X, phi, box)
+    assert _same(tau, field.tau) and np.array_equal(folded, field.folded)
