@@ -552,10 +552,11 @@ def test_stream_takes_times_in_increasing_order_only():
 
 
 def test_a_crossing_that_rounds_to_t_idx_blocks_slice_idx(monkeypatch):
-    # det crosses zero between rows idx and idx + 1 at frac = 1e-16 of the
-    # step, so tau = 0.5 + 1e-16 * 2^-11 rounds to t_idx = 0.5 exactly:
-    # slice idx is past the fold although det is positive on row idx. The
-    # stream may only yield row idx once the scan has seen row idx + 1.
+    # det goes from 1 on row idx to -1e16 on row idx + 1, a crossing at
+    # frac = 1e-16 of the step, so tau = 0.5 + 1e-16 * 2^-11 rounds to
+    # t_idx = 0.5 exactly: slice idx is past the fold although its Newton
+    # converges. The stream may only yield row idx once the scan has seen
+    # row idx + 1.
     X = _short_line(2049)
     idx = 1024
     assert X.times[idx] == 0.5 and X.times[idx + 1] - X.times[idx] == 2.0 ** -11
@@ -568,8 +569,7 @@ def test_a_crossing_that_rounds_to_t_idx_blocks_slice_idx(monkeypatch):
     def crossing_jacobian(box, A, out=None):
         jac = real(box, A, out)
         rows = np.arange(seen[0], seen[0] + A.shape[0])
-        jac[rows == idx] = 1e-16
-        jac[rows == idx + 1] = -1.0
+        jac[rows == idx + 1] = -1e16
         seen[0] += A.shape[0]
         return jac
 
@@ -581,6 +581,8 @@ def test_a_crossing_that_rounds_to_t_idx_blocks_slice_idx(monkeypatch):
         seen[0] = 0
         field = build_char_field(H, X, phi, box)
         assert (field.tau == X.times[idx]).all() and field.folded.all()
+        _, _, ok, pre, _ = pde._invert_batch(box, field.seeds, field.row(idx), pts, 1e-10, 50)
+        assert ok.all() and not pre.any()
         stored = assemble_solution_field(field, pts, times)
         seen[0] = 0
         streamed = assemble_solution_field(CharStream(H, X, phi, box), pts, times)
