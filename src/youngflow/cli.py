@@ -234,7 +234,7 @@ def cmd_flow(args) -> int:
     field = bi.get_field(args.field, args.dim, _params(args.params))
     X = yio.read_path_csv(args.driver)
     pts = _box(args.grid, args.dim, "--grid").points()
-    flow = solve_flow(field, X, pts, _cfg(args))
+    flow = solve_flow(field, X, pts, _cfg(args), jacobian_history=False)  # never written
     yio.write_flow_map(args.out, flow)
     print(f"wrote {args.out} ({pts.shape[0]} trajectories)")
     return 0

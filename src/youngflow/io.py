@@ -83,11 +83,27 @@ def write_path_csv(fname, path: SampledPath) -> None:
     _write_csv(fname, ["t"] + labels, [path.times, flat])
 
 
+def _refuse_ragged_rows(fname, width: int) -> None:
+    """PathError at the first data row of fname whose cell count is not width."""
+    with open(fname) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#")[0].strip()  # loadtxt skips comments and blank lines
+            if lineno > 1 and text and text.count(",") + 1 != width:
+                raise PathError(f"{fname}: line {lineno} has {text.count(',') + 1} columns, "
+                                f"the header has {width}")
+
+
 def read_path_csv(fname) -> SampledPath:
     with open(fname) as fh:
-        header = fh.readline().strip()
-    kind, shape = _parse_header(header.split(","))
-    data = np.loadtxt(fname, delimiter=",", skiprows=1, ndmin=2)
+        cols = fh.readline().strip().split(",")
+    kind, shape = _parse_header(cols)
+    try:
+        data = np.loadtxt(fname, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError:
+        _refuse_ragged_rows(fname, len(cols))
+        raise
+    if data.shape[1] != len(cols):
+        _refuse_ragged_rows(fname, len(cols))
     times = data[:, 0]
     vals = data[:, 1:]
     if kind == "matrix":

@@ -354,14 +354,42 @@ def p_variation_norm(X: SampledPath, p: float, interval=None) -> float:
 
 
 def holder_norm(X: SampledPath, alpha: float, interval=None) -> float:
-    """max over grid pairs s != t of ||X_t - X_s|| / |t - s|^alpha."""
+    """max over grid pairs s < t of ||X_t - X_s|| / (t - s)^alpha.
+
+    Start points go in blocks of _BLOCK, each against its own block and
+    every later block that a box bound does not rule out: the far corners
+    of the two blocks' boxes over their time gap. The max starts at the
+    one-step ratios. Every ratio is computed with array arithmetic, so it
+    is bitwise the one of a loop over start points (see _powers), and so
+    is the max.
+    """
     if not 0 < alpha <= 1:
         raise PathError(f"Hoelder exponent must lie in (0, 1], got {alpha}")
     i0, i1 = _interval_indices(X, interval)
     times = X.times[i0 : i1 + 1]
     vals = X.values[i0 : i1 + 1].reshape(i1 - i0 + 1, -1)
-    out = 0.0
-    for i in range(vals.shape[0] - 1):
-        d = np.linalg.norm(vals[i + 1 :] - vals[i], axis=1)
-        out = max(out, float(np.max(d / (times[i + 1 :] - times[i]) ** alpha)))
+    n, k = vals.shape
+    starts = np.arange(0, n, _BLOCK)
+    ends = np.minimum(starts + _BLOCK, n) - 1
+    lo = np.minimum.reduceat(vals, starts, axis=0)
+    hi = np.maximum.reduceat(vals, starts, axis=0)
+    out = float(np.max(np.linalg.norm(np.diff(vals, axis=0), axis=1) / np.diff(times) ** alpha))
+    # Differences, squares, sums, sqrt and division round monotonically, so
+    # the bound exceeds every ratio of its block pair by at most what the
+    # two pow results add (4 ulps each), and half a subnormal step per op.
+    slack, floor = 1.0 + 16 * np.finfo(float).eps, 16 * np.finfo(float).smallest_subnormal
+    for m, a in enumerate(starts):
+        reach = np.linalg.norm(np.maximum(hi[m + 1 :] - lo[m], hi[m] - lo[m + 1 :]), axis=1)
+        bound = reach / (times[starts[m + 1 :]] - times[ends[m]]) ** alpha * slack + floor
+        kept = m + 1 + np.flatnonzero(~(bound < out))  # a NaN bound keeps its block
+        cols = np.concatenate([np.arange(a + 1, ends[m] + 1),
+                               (kept[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()])
+        cols, rows = cols[cols < n], np.arange(a, ends[m] + 1)
+        step = max(_BLOCK, _CHUNK_BYTES // (8 * k * rows.size))
+        for c0 in range(0, cols.size, step):
+            c = cols[c0 : c0 + step]
+            dt = times[c] - times[rows, None]
+            later = dt > 0
+            d = np.linalg.norm(vals[c] - vals[rows, None], axis=-1)
+            out = float(np.max(d / np.where(later, dt, 1.0) ** alpha, where=later, initial=out))
     return out

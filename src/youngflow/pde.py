@@ -22,7 +22,7 @@ import numpy as np
 from .fields import DEFAULT_FD_STEP, SmoothMap, _fd_last_axis
 from .paths import PathError, SampledPath, dyadic_prefix, dyadic_steps
 from .reports import CheckReport, ResidualReport, residual_ladder
-from .yde import _freeze_rows, substep_grid
+from .yde import BlowUpError, _freeze_rows, substep_grid
 
 
 _NEAREST_CHUNK_BYTES = 4 * 2**20  # row block of the cold-start distance array
@@ -209,7 +209,7 @@ def _char_sweep(H: HamiltonianSpec, X: SampledPath, A0, B0, C0, substeps: int,
                     db = db + (fv - np.einsum("md,md->m", fp, c)) * dX[i, j]
                     dc = dc + (fx + fu[:, None] * c) * dX[i, j]
                 a, b, c = a + da, b + db, c + dc
-            a, b, c = _freeze_rows([a, b, c], i, alive, alive_idx, lambda: prev)
+            a, b, c = _freeze_rows([a, b, c], i, alive, alive_idx, prev)
         yield a, b, c
 
 
@@ -455,7 +455,12 @@ class CharStream:
             A[s], B[s], C[s] = a, b, c
             if s < size - 1 and i < n - 1:
                 continue
-            scan.feed(np.linalg.det(_seed_jacobian(box, A[:s + 1], J[:s + 1])))
+            with np.errstate(over="ignore", invalid="ignore"):
+                jac = _seed_jacobian(box, A[:s + 1], J[:s + 1])
+            if not np.isfinite(jac).all():  # frozen seeds next to live ones: no fold scan
+                r = int(np.argmin(np.isfinite(jac).reshape(s + 1, -1).all(axis=1)))
+                raise BlowUpError(float(times[max(i - s + r - 1, 0)]))
+            scan.feed(np.linalg.det(jac))
             if held is not None:
                 yield CharRow(i - s - 1, times[i - s - 1], *held, scan.tau, scan.folded)
             for r in range(s):

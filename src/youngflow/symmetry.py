@@ -10,7 +10,7 @@ from .fields import FieldSpec, PointMap, ScalarObservable, as_single_field
 from .integrate import indefinite_integral
 from .paths import PathError, SampledPath
 from .reports import CheckReport, ResidualReport, make_check_report, residual_ladder
-from .yde import SolveConfig, solve_flow, solve_yde, _euler_core
+from .yde import SolveConfig, solve_yde, _euler_core
 
 # Algebraic identities are held to a tighter tolerance when all
 # derivatives involved are analytic rather than finite-differenced.
@@ -146,17 +146,17 @@ def _numeric_flow(g: FieldSpec, s: float, steps_per_unit: int, cfg: SolveConfig 
     driver = SampledPath(np.linspace(0.0, abs(s), n), np.linspace(0.0, s, n))
     cfg = cfg or SolveConfig()
 
+    def last_row(y, with_jacobian):
+        # only the last Euler row is kept, so memory does not grow with n
+        rows, _ = _euler_core(g, driver, np.atleast_2d(np.asarray(y, dtype=float)), cfg,
+                              with_jacobian, history=0)
+        return rows[-1][0] if np.asarray(y).ndim == 1 else rows[-1]
+
     def value(y):
-        y2 = np.atleast_2d(np.asarray(y, dtype=float))
-        states, _, _ = _euler_core(g, driver, y2, cfg, with_jacobian=False)
-        out = states[-1]
-        return out[0] if np.asarray(y).ndim == 1 else out
+        return last_row(y, with_jacobian=False)
 
     def jacobian(y):
-        y2 = np.atleast_2d(np.asarray(y, dtype=float))
-        flow = solve_flow(g, driver, y2, cfg)
-        out = flow.jacobians[-1]
-        return out[0] if np.asarray(y).ndim == 1 else out
+        return last_row(y, with_jacobian=True)
 
     return PointMap(in_dim=g.in_dim, out_dim=g.in_dim, value=value, jacobian=jacobian)
 

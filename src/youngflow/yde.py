@@ -70,13 +70,12 @@ def _euler_interval(field: FieldSpec, ts, dx: np.ndarray, y: np.ndarray) -> np.n
 
 
 def _freeze_rows(new: list, i: int, alive: np.ndarray, alive_idx: np.ndarray,
-                 prev) -> list:
+                 prev: list) -> list:
     """The step-(i+1) arrays from new, with dead rows frozen.
 
     A row that turns non-finite in any array on interval i dies there
     (alive_idx = i, alive cleared) and keeps its step-i values from then
-    on; prev() gives the step-i arrays and is called only once a row is
-    dead. Returns the arrays to continue from.
+    on, from the step-i arrays prev. Returns the arrays to continue from.
     """
     if not np.isfinite(sum(v.sum() for v in new)):  # one cheap pass while all is finite
         ok = np.logical_and.reduce(
@@ -86,42 +85,50 @@ def _freeze_rows(new: list, i: int, alive: np.ndarray, alive_idx: np.ndarray,
         alive &= ~bad
     if not alive.all():
         new = [np.where(alive.reshape((-1,) + (1,) * (v.ndim - 1)), v, p)
-               for v, p in zip(new, prev())]
+               for v, p in zip(new, prev)]
     return new
 
 
-def _euler_core(field: FieldSpec, X: SampledPath, y0s: np.ndarray,
-                cfg: SolveConfig, with_jacobian: bool, stop_index: int | None = None):
-    """Batched explicit Euler over the driver grid.
+def _euler_sweep(field: FieldSpec, X: SampledPath, y0s: np.ndarray, cfg: SolveConfig,
+                 with_jacobian: bool, n: int, alive_idx: np.ndarray):
+    """Batched explicit Euler over the first n grid points of X, row by row.
 
-    Y_{i+1} = Y_i + f(t_i, Y_i) (X_{t_{i+1}} - X_{t_i}), over the substeps
-    of substep_grid. Rows that turn non-finite are frozen at their last
-    valid grid state and recorded in alive_idx. Returns (states (n, m, d),
-    jacobians or None, alive_idx (m,)).
+    Y_{i+1} = Y_i + f(t_i, Y_i) (X_{t_{i+1}} - X_{t_i}) over the substeps of
+    substep_grid, with the variational recursion of jac = D_x Y if asked.
+    Yields [y] (m, d) or [y, jac] (m, d, d) per grid point, never written
+    again. Rows that turn non-finite are frozen by _freeze_rows and
+    recorded in alive_idx (m,), which must hold n - 1 on entry.
     """
-    n = X.n_points if stop_index is None else stop_index + 1
     ts, dx = substep_grid(X, cfg.substeps_per_interval, n)
     y = np.array(np.atleast_2d(y0s), dtype=float)
     m, d = y.shape
     cur = [y] + ([np.broadcast_to(np.eye(d), (m, d, d)).copy()] if with_jacobian else [])
-    hist = [np.empty((n,) + v.shape) for v in cur]
-    for h, v in zip(hist, cur):
-        h[0] = v
-    alive_idx = np.full(m, n - 1, dtype=int)
     alive = np.ones(m, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 1):
-            y, jac = cur[0], cur[-1]
+    yield cur
+    for i in range(n - 1):
+        y, jac = cur[0], cur[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
             for t in ts[i]:
                 if with_jacobian:
                     step_lin = np.einsum("mdnk,n->mdk", field.jacobian_at(t, y), dx[i])
                     jac = jac + np.einsum("mde,mek->mdk", step_lin, jac)
                 y = y + _apply(field.value_at(t, y), dx[i])
-            cur = _freeze_rows([y, jac] if with_jacobian else [y], i, alive, alive_idx,
-                               lambda: [h[i] for h in hist])
-            for v, h in zip(cur, hist):
-                h[i + 1] = v
-    return hist[0], (hist[1] if with_jacobian else None), alive_idx
+            cur = _freeze_rows([y, jac] if with_jacobian else [y], i, alive, alive_idx, cur)
+        yield cur
+
+
+def _euler_core(field: FieldSpec, X: SampledPath, y0s: np.ndarray, cfg: SolveConfig,
+                with_jacobian: bool, stop_index: int | None = None, history: int = 2):
+    """([states] or [states, jacobians], alive_idx) of _euler_sweep to stop_index;
+    the first `history` arrays hold every row (n, m, ...), the rest their last."""
+    n = X.n_points if stop_index is None else stop_index + 1
+    alive_idx = np.full(np.atleast_2d(y0s).shape[0], n - 1, dtype=int)
+    for i, rows in enumerate(_euler_sweep(field, X, y0s, cfg, with_jacobian, n, alive_idx)):
+        if i == 0:
+            hist = [np.empty((n,) + v.shape) for v in rows[:history]]
+        for h, v in zip(hist, rows):
+            h[i] = v
+    return hist + rows[history:], alive_idx
 
 
 def solve_yde(field: FieldSpec, X: SampledPath, y0, cfg: SolveConfig | None = None) -> SampledPath:
@@ -129,7 +136,7 @@ def solve_yde(field: FieldSpec, X: SampledPath, y0, cfg: SolveConfig | None = No
     cfg = cfg or SolveConfig()
     _check_compat(field, X)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    states, _, alive_idx = _euler_core(field, X, y0[None, :], cfg, with_jacobian=False)
+    (states,), alive_idx = _euler_core(field, X, y0[None, :], cfg, with_jacobian=False)
     if alive_idx[0] != X.n_points - 1:
         raise BlowUpError(float(X.times[alive_idx[0]]))
     return SampledPath(X.times, states[:, 0, :])
@@ -140,10 +147,11 @@ class FlowMap:
     """Flow of dY = f(Y) dX over a batch of initial points.
 
     states has shape (n, m, d), jacobians (n, m, d, d) from the variational
-    recursion J_{i+1} = (I + sum_j D_y f_j dX^j) J_i. alive_until[i] is the
-    last time the i-th trajectory was finite; beyond it the stored state is
-    frozen. The producing field/driver/config are kept so the flow can be
-    re-evaluated from fresh initial points.
+    recursion J_{i+1} = (I + sum_j D_y f_j dX^j) J_i, or None if solved with
+    jacobian_history=False. alive_until[i] is the last time the i-th
+    trajectory was finite; beyond it the stored state is frozen. The
+    producing field/driver/config are kept so the flow can be re-evaluated
+    from fresh initial points.
     """
 
     field: FieldSpec
@@ -151,7 +159,7 @@ class FlowMap:
     cfg: SolveConfig
     initial_points: np.ndarray
     states: np.ndarray
-    jacobians: np.ndarray
+    jacobians: np.ndarray | None
     alive_until: np.ndarray
 
     @property
@@ -175,27 +183,29 @@ class FlowMap:
         recurrence structure). Returns states (k, m, d) up to stop_index.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        states, _, alive = _euler_core(
-            self.field, self.driver, x, self.cfg, with_jacobian=False, stop_index=stop_index
-        )
+        (states,), alive = _euler_core(self.field, self.driver, x, self.cfg, with_jacobian=False,
+                                       stop_index=stop_index)
         want = (self.driver.n_points - 1) if stop_index is None else stop_index
         if np.any(alive < want):
             raise BlowUpError(float(self.times[int(alive.min())]))
         return states
 
 
-def solve_flow(field: FieldSpec, X: SampledPath, initial_points, cfg: SolveConfig | None = None) -> FlowMap:
+def solve_flow(field: FieldSpec, X: SampledPath, initial_points, cfg: SolveConfig | None = None,
+               jacobian_history: bool = True) -> FlowMap:
     cfg = cfg or SolveConfig()
     _check_compat(field, X)
     pts = np.atleast_2d(np.asarray(initial_points, dtype=float))
-    states, jacs, alive_idx = _euler_core(field, X, pts, cfg, with_jacobian=True)
+    # the Jacobian is computed either way: a row dies where it turns non-finite
+    (states, jacs), alive_idx = _euler_core(field, X, pts, cfg, with_jacobian=True,
+                                            history=1 + jacobian_history)
     return FlowMap(
         field=field,
         driver=X,
         cfg=cfg,
         initial_points=pts,
         states=states,
-        jacobians=jacs,
+        jacobians=jacs if jacobian_history else None,
         alive_until=X.times[alive_idx],
     )
 
@@ -218,8 +228,12 @@ def invert_flow(flow: FlowMap, t: float, y, newton_tol: float = 1e-10,
         images = flow.states[idx]
         x = flow.initial_points[int(np.argmin(np.linalg.norm(images - y, axis=1)))].copy()
 
-    def residual(xc):
-        return flow.evaluate(xc[None, :], stop_index=idx)[-1, 0] - y
+    def residual(xc):  # the last row of evaluate(), without the history
+        (last,), alive = _euler_core(flow.field, flow.driver, xc[None, :], flow.cfg,
+                                     with_jacobian=False, stop_index=idx, history=0)
+        if alive[0] < idx:
+            raise BlowUpError(float(flow.times[alive[0]]))
+        return last[0] - y
 
     r = residual(x)
     rn = float(np.linalg.norm(r))

@@ -510,6 +510,39 @@ def test_pde_driver_wider_than_the_hamiltonian_exits_two(capsys, workdir, lin17_
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("sub", ["caustic", "solve", "residual"])
+def test_pde_seeds_that_blow_up_next_to_live_ones_exit_three(workdir, sub):
+    # a = x - cos(x) X_t overflows for most seeds on a driver up to 1.5e308;
+    # their frozen rows next to live ones make the seed Jacobian non-finite
+    huge = workdir / "huge.csv"
+    write_path_csv(str(huge), youngflow.SampledPath(np.linspace(0.0, 1.0, 65),
+                                                    np.linspace(0.0, 1.5e308, 65)))
+    out = workdir / f"never_huge_{sub}"
+    argv = ["pde", sub, "--hamiltonian", "burgers-half-p-squared", "--init", "sin",
+            "--box=-3:3:41", "--substeps", "2", "--driver", str(huge), "-o", str(out)]
+    res = subprocess.run([sys.executable, "-m", "youngflow.cli", *argv]
+                         + ([] if sub == "caustic" else ["--eval=-1:1:5"]),
+                         env=_src_env(), capture_output=True, text=True)
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr.startswith("numeric failure: state became non-finite after t=")
+    assert res.stderr.count("\n") == 1 and "Warning" not in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, line, cells", [
+    (["0,0,1", "1,2", "2,3,4"], 3, 2),  # a short row
+    (["0,0,1", "1,2,3", "# a comment", "", "2,3,4,5"], 6, 4),  # a long row
+    (["0,0,1,2", "1,2,3,4"], 2, 4),  # every row wider than the header
+])
+def test_ragged_csv_rows_exit_two_naming_the_line(capsys, workdir, rows, line, cells):
+    bad = workdir / "ragged.csv"
+    bad.write_text("t,x1,x2\n" + "\n".join(rows) + "\n")
+    rc = main(["pvar", "--p", "2", "--path", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {bad}: line {line} has {cells} columns, the header has 3\n"
+
+
 @pytest.mark.parametrize("n", [2, 3, 17, 64, 129])
 def test_slice_indices_equal_np_unique(n):
     for slices in range(1, n + 3):

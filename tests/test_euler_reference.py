@@ -9,11 +9,16 @@ composition routes and the characteristic core; these tests pin that it
 computes the same bits, for one substep and for several.
 """
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import youngflow.cli as cli
 import youngflow.composition as composition
 import youngflow.pde as pde
+import youngflow.symmetry as symmetry
 from youngflow import (
     DeterministicSpec,
     FbmSpec,
@@ -31,6 +36,7 @@ from youngflow import (
     solve_yde,
 )
 from youngflow.builtins import get_field
+from youngflow.io import write_flow_map, write_path_csv
 
 # ------------------------------------------------------------- reference
 
@@ -241,6 +247,83 @@ def test_blown_up_rows_freeze_like_reference(sub):
     assert np.array_equal(flow.states, states)
     assert np.array_equal(flow.jacobians, jacs)
     assert np.array_equal(flow.alive_until, X.times[alive])
+
+
+# -------------------------------------------------------------- row sweep
+#
+# Each consumer of yde._euler_sweep keeps only the rows it reads; what it
+# keeps must be bitwise what the full history holds.
+
+
+def _dying_driver():
+    # dY = Y^2 dX with X_t = 4t: rows from 1 and above die before t = 1/4
+    X = gen_deterministic(DeterministicSpec(kind="linear", n_points=257))
+    return SampledPath(X.times, 4.0 * X.values)
+
+
+@pytest.mark.parametrize("sub", SUBSTEPS)
+def test_flow_cli_writes_the_full_history_flow_bitwise(sub, tmp_path):
+    strong = _dying_driver()
+    write_path_csv(tmp_path / "strong.csv", strong)
+    assert cli.main(["flow", "--field", "square", "--dim", "1", "--driver",
+                     str(tmp_path / "strong.csv"), "--grid=-1:2:7", "--substeps", str(sub),
+                     "-o", str(tmp_path / "cli")]) == 0
+    index = json.loads((tmp_path / "cli" / "flow_index.json").read_text())
+    flow = solve_flow(get_field("square", dim=1), strong, index["initial_points"], _cfg(sub))
+    assert 0 < np.sum(flow.alive_until < strong.times[-1]) < 6
+    write_flow_map(tmp_path / "lib", flow)
+    for name in index["files"]:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+    lib_index = json.loads((tmp_path / "lib" / "flow_index.json").read_text())
+    for doc in (index, lib_index):
+        doc["meta"].pop("created")
+    assert index == lib_index
+    light = solve_flow(get_field("square", dim=1), strong, index["initial_points"], _cfg(sub),
+                       jacobian_history=False)
+    assert light.jacobians is None
+    assert np.array_equal(light.states, flow.states)
+    assert np.array_equal(light.alive_until, flow.alive_until)
+
+
+@pytest.mark.parametrize("sub", SUBSTEPS)
+@pytest.mark.parametrize("s", [1.0, -0.4])
+def test_numeric_flow_is_the_last_row_of_solve_flow(sub, s):
+    g = get_field("square", dim=2)
+    pts = np.random.default_rng(5).uniform(-1.0, 2.5, (9, 2))  # rows above 1 die at s = 1
+    phi = symmetry._numeric_flow(g, s, 64, _cfg(sub))
+    n = int(np.ceil(64 * abs(s))) + 1
+    driver = SampledPath(np.linspace(0.0, abs(s), n), np.linspace(0.0, s, n))
+    flow = solve_flow(g, driver, pts, _cfg(sub))
+    live = flow.alive_until == abs(s)
+    if s > 0:
+        assert 0 < np.sum(~live) < 9
+    # the value sweep carries no Jacobian, so a dying row lives until its
+    # state, not its Jacobian, turns non-finite
+    states = _ref_euler(g, driver, pts, sub, with_jacobian=False)[0]
+    assert np.array_equal(phi.value_at(pts), states[-1])
+    assert np.array_equal(phi.value_at(pts)[live], flow.states[-1, live])
+    assert np.array_equal(phi.jacobian_at(pts), flow.jacobians[-1])
+    k = int(np.argmax(live))  # one point in, one point out
+    assert np.array_equal(phi.value_at(pts[k]), flow.states[-1, k])
+    assert np.array_equal(phi.jacobian_at(pts[k]), flow.jacobians[-1, k])
+
+
+def test_numeric_flow_memory_does_not_grow_with_the_steps():
+    # with the whole Euler history, 8192 steps of 64 points and their
+    # Jacobians would hold 25 MB more than 1024 steps
+    g = get_field("rotation", dim=2)
+    pts = np.random.default_rng(7).uniform(-1.0, 1.0, (64, 2))
+    peaks = []
+    for steps in (1024, 8192):
+        phi = symmetry._numeric_flow(g, 1.0, steps, None)
+        tracemalloc.start()
+        try:
+            phi.value_at(pts)
+            phi.jacobian_at(pts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.5 * 2**20, peaks
 
 
 # ------------------------------------------------------------ composition

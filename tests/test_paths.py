@@ -187,6 +187,57 @@ def test_holder_norm_frozen_values():
         holder_norm(pair, 0.0)
 
 
+def loop_holder_norm(X, alpha, interval=None):
+    """Reference: the plain loop, one vectorised row per start point."""
+    i0, i1 = paths._interval_indices(X, interval)
+    times = X.times[i0 : i1 + 1]
+    vals = X.values[i0 : i1 + 1].reshape(i1 - i0 + 1, -1)
+    out = 0.0
+    for i in range(vals.shape[0] - 1):
+        d = np.linalg.norm(vals[i + 1 :] - vals[i], axis=1)
+        out = max(out, float(np.max(d / (times[i + 1 :] - times[i]) ** alpha)))
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("shape", [(1,), (2,), (3, 3)], ids=["1d", "2d", "op3x3"])
+@pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 3 * B + 1, 300])
+def test_blocked_holder_norm_matches_the_loop_bitwise(n, shape, alpha):
+    rng = np.random.default_rng([n, len(shape), int(alpha * 10)])
+    times = np.cumsum(rng.uniform(0.01, 1.0, n))  # an uneven grid
+    for kind in ("walk", "steps", "sawtooth", "ramp"):
+        X = SampledPath(times, hazard_values(kind, n, shape, rng))
+        assert holder_norm(X, alpha) == loop_holder_norm(X, alpha)
+        if n > 10:
+            span = (float(times[3]), float(times[n - 5]))
+            assert holder_norm(X, alpha, span) == loop_holder_norm(X, alpha, span)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.75, 1.0])
+def test_blocked_holder_norm_at_extreme_scales_matches_the_loop(alpha):
+    # increments that overflow to inf, subnormal squares and ratios, and
+    # time steps whose powers are tiny or huge
+    rng = np.random.default_rng(int(alpha * 100))
+    n = 3 * B + 1
+    for tscale in (1e-200, 1.0, 1e200):
+        times = tscale * np.cumsum(rng.uniform(0.5, 1.0, n))
+        for shape in [(1,), (2,)]:
+            scale = rng.choice([1e300, 1e130, 1.0, 1e-150, 1e-160], size=(n, 1))
+            vals = scale * rng.choice([-1.0, -0.5, 0.0, 1.0], size=(n,) + shape)
+            with np.errstate(over="ignore", under="ignore"):
+                X = SampledPath(times, vals)
+                assert holder_norm(X, alpha) == loop_holder_norm(X, alpha)
+                tiny = SampledPath(times, 1e-160 * hazard_values("steps", n, shape, rng))
+                assert holder_norm(tiny, alpha) == loop_holder_norm(tiny, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 0.8])
+def test_blocked_holder_norm_on_fbm_matches_the_loop(alpha):
+    # a rough path: most block pairs are skipped by their bound
+    X = gen_fbm(FbmSpec(hurst=0.75, n_points=2**12 + 1, seed=2))
+    assert holder_norm(X, alpha) == loop_holder_norm(X, alpha)
+
+
 # ---------------------------------------------- pruned DP against plain DP
 
 

@@ -16,6 +16,7 @@ import pytest
 
 import youngflow.pde as pde
 from youngflow import (
+    BlowUpError,
     DeterministicSpec,
     FbmSpec,
     GridBox,
@@ -452,6 +453,26 @@ def test_streamed_fold_scan_matches_char_field_bitwise(case, monkeypatch):
         blocked = build_char_field(H, X, phi, box, substeps=substeps)
         assert np.array_equal(blocked.jac, field.jac, equal_nan=True)
         assert _same(blocked.tau, field.tau) and np.array_equal(blocked.folded, field.folded)
+
+
+@pytest.mark.parametrize("rows", [64, 1, 5])
+def test_a_non_finite_seed_jacobian_stops_the_stream(rows, monkeypatch):
+    # a = x - cos(x) X_t overflows where |cos x| X_t > 1.8e308: those seeds
+    # freeze near 1e308 next to live ones, and their differences overflow
+    monkeypatch.setattr(pde, "_FOLD_BLOCK_ROWS", rows)
+    line = _short_line(65)
+    X = SampledPath(line.times, 1.5e308 * line.values)
+    H, phi = get_hamiltonian("burgers-half-p-squared", 1), get_initial_data("sin", 1)
+    box = GridBox((-3.0,), (3.0,), (41,))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # no warning either
+        with pytest.raises(BlowUpError) as info:
+            fold_times(H, X, phi, box, substeps=2)
+    first_bad = np.searchsorted(X.times, info.value.last_valid_time) + 1
+    field = pde._char_core(H, X, *pde._seed_data(H, phi, box), 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = pde._seed_jacobian(box, field[0])
+    finite = np.isfinite(jac).reshape(X.n_points, -1).all(axis=1)
+    assert finite[:first_bad].all() and not finite[first_bad]
 
 
 def test_fold_scan_in_blocks_matches_the_whole_array():
