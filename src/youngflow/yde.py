@@ -97,7 +97,8 @@ def _euler_sweep(field: FieldSpec, X: SampledPath, y0s: np.ndarray, cfg: SolveCo
     substep_grid, with the variational recursion of jac = D_x Y if asked.
     Yields [y] (m, d) or [y, jac] (m, d, d) per grid point, never written
     again. Rows that turn non-finite are frozen by _freeze_rows and
-    recorded in alive_idx (m,), which must hold n - 1 on entry.
+    recorded in alive_idx (m,), which must hold n - 1 on entry. Overflow
+    is expected: the caller iterates under np.errstate, entered once.
     """
     ts, dx = substep_grid(X, cfg.substeps_per_interval, n)
     y = np.array(np.atleast_2d(y0s), dtype=float)
@@ -107,13 +108,12 @@ def _euler_sweep(field: FieldSpec, X: SampledPath, y0s: np.ndarray, cfg: SolveCo
     yield cur
     for i in range(n - 1):
         y, jac = cur[0], cur[-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in ts[i]:
-                if with_jacobian:
-                    step_lin = np.einsum("mdnk,n->mdk", field.jacobian_at(t, y), dx[i])
-                    jac = jac + np.einsum("mde,mek->mdk", step_lin, jac)
-                y = y + _apply(field.value_at(t, y), dx[i])
-            cur = _freeze_rows([y, jac] if with_jacobian else [y], i, alive, alive_idx, cur)
+        for t in ts[i]:
+            if with_jacobian:
+                step_lin = np.einsum("mdnk,n->mdk", field.jacobian_at(t, y), dx[i])
+                jac = jac + np.einsum("mde,mek->mdk", step_lin, jac)
+            y = y + _apply(field.value_at(t, y), dx[i])
+        cur = _freeze_rows([y, jac] if with_jacobian else [y], i, alive, alive_idx, cur)
         yield cur
 
 
@@ -123,11 +123,13 @@ def _euler_core(field: FieldSpec, X: SampledPath, y0s: np.ndarray, cfg: SolveCon
     the first `history` arrays hold every row (n, m, ...), the rest their last."""
     n = X.n_points if stop_index is None else stop_index + 1
     alive_idx = np.full(np.atleast_2d(y0s).shape[0], n - 1, dtype=int)
-    for i, rows in enumerate(_euler_sweep(field, X, y0s, cfg, with_jacobian, n, alive_idx)):
-        if i == 0:
-            hist = [np.empty((n,) + v.shape) for v in rows[:history]]
-        for h, v in zip(hist, rows):
-            h[i] = v
+    sweep = _euler_sweep(field, X, y0s, cfg, with_jacobian, n, alive_idx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, rows in enumerate(sweep):
+            if i == 0:
+                hist = [np.empty((n,) + v.shape) for v in rows[:history]]
+            for h, v in zip(hist, rows):
+                h[i] = v
     return hist + rows[history:], alive_idx
 
 
