@@ -375,8 +375,8 @@ def holder_norm(X: SampledPath, alpha: float, interval=None) -> float:
     hi = np.maximum.reduceat(vals, starts, axis=0)
     out = float(np.max(np.linalg.norm(np.diff(vals, axis=0), axis=1) / np.diff(times) ** alpha))
     # Differences, squares, sums, sqrt and division round monotonically, so
-    # the bound exceeds every ratio of its block pair by at most what the
-    # two pow results add (4 ulps each), and half a subnormal step per op.
+    # a block pair's bound is at least each of its ratios, up to what the
+    # two pow results may add: 4 ulps each (slack), or subnormal steps (floor).
     slack, floor = 1.0 + 16 * np.finfo(float).eps, 16 * np.finfo(float).smallest_subnormal
     for m, a in enumerate(starts):
         reach = np.linalg.norm(np.maximum(hi[m + 1 :] - lo[m], hi[m] - lo[m + 1 :]), axis=1)
