@@ -256,7 +256,7 @@ def test_blown_up_rows_freeze_like_reference(sub):
 
 
 def _dying_driver():
-    # dY = Y^2 dX with X_t = 4t: rows from 1 and above die before t = 1/4
+    # dY = Y^2 dX with X_t = 4t: a row from y0 > 1/4 blows up near t = 1/(4 y0)
     X = gen_deterministic(DeterministicSpec(kind="linear", n_points=257))
     return SampledPath(X.times, 4.0 * X.values)
 
@@ -310,7 +310,7 @@ def test_numeric_flow_is_the_last_row_of_solve_flow(sub, s):
 
 def test_numeric_flow_memory_does_not_grow_with_the_steps():
     # with the whole Euler history, 8192 steps of 64 points and their
-    # Jacobians would hold 25 MB more than 1024 steps
+    # Jacobians would hold about 22 MB more than 1024 steps
     g = get_field("rotation", dim=2)
     pts = np.random.default_rng(7).uniform(-1.0, 1.0, (64, 2))
     peaks = []
