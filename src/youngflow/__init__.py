@@ -27,7 +27,7 @@ from .symmetry import (SampleDomain, check_conserved_algebraic,
                        check_conserved_trajectory, check_infinitesimal_symmetry,
                        check_symmetry_map, check_symmetry_trajectory, lie_bracket,
                        propagate_observable)
-from .composition import PushforwardField, compose_flows, pushforward_field
+from .composition import compose_flows
 from .pde import (CausticError, CharField, CharStream, CharTriple, GridBox,
                   HamiltonianSpec, InversionError, ScalarHamiltonian,
                   assemble_solution, assemble_solution_field, build_char_field,

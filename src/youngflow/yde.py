@@ -62,13 +62,6 @@ def _apply(F: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return np.einsum("mdn,n->md", F, dx)
 
 
-def _euler_interval(field: FieldSpec, ts, dx: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Euler substeps at left times ts, each advancing the driver by dx."""
-    for t in ts:
-        y = y + _apply(field.value_at(t, y), dx)
-    return y
-
-
 def _freeze_rows(new: list, i: int, alive: np.ndarray, alive_idx: np.ndarray,
                  prev: list) -> list:
     """The step-(i+1) arrays from new, with dead rows frozen.

@@ -392,6 +392,18 @@ def test_overflowing_variation_or_integral_exits_three(workdir, command):
     assert res.stderr.startswith("numeric failure: ") and res.stderr.count("\n") == 1
 
 
+def test_compose_overflow_prints_only_the_failure_line(workdir):
+    # square inner field from y0 = 2 on a ramp: the composed rows overflow
+    lin = str(workdir / "lin65.csv")
+    assert main(["gen", "linear", "--n", "65", "-o", lin]) == 0
+    res = subprocess.run([sys.executable, "-m", "youngflow.cli", "compose", "--outer-field",
+                          "scaling", "--outer-driver", lin, "--inner-field", "square",
+                          "--inner-driver", lin, "--dim", "1", "--y0", "2", "--levels", "2"],
+                         env=_src_env(), capture_output=True, text=True)
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr.startswith("numeric failure: ") and res.stderr.count("\n") == 1
+
+
 def test_fbm_over_size_cap_exits_three(capsys, workdir):
     # one point past the default cap of 2^20 + 1
     rc = main(["gen", "fbm", "--n", "1048578", "--seed", "1",

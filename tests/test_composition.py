@@ -1,4 +1,4 @@
-"""Composed flows against the direct combined solve, and pushforwards."""
+"""Composed flows against the direct combined solve."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,12 @@ from youngflow import (
     DeterministicSpec,
     FbmSpec,
     FieldSpec,
+    NewtonError,
     PathError,
     SampledPath,
     compose_flows,
     gen_deterministic,
     gen_fbm,
-    pushforward_field,
-    solve_flow,
     solve_yde,
 )
 import youngflow.composition as composition
@@ -26,17 +25,6 @@ def _zero_field(dim):
         in_dim=dim,
         driver_dim=1,
         jac=lambda y: np.zeros(y.shape + (1, dim)),
-    )
-
-
-def _constant_field(vec):
-    vec = np.asarray(vec, dtype=float)
-    d = vec.size
-    return FieldSpec.autonomous(
-        lambda y: np.broadcast_to(vec[:, None], y.shape[:-1] + (d, 1)).copy(),
-        in_dim=d,
-        driver_dim=1,
-        jac=lambda y: np.zeros(y.shape[:-1] + (d, 1, d)),
     )
 
 
@@ -93,20 +81,57 @@ def test_routes_converge_on_rough_drivers():
     assert all(a > b for a, b in zip(rep.meshes, rep.meshes[1:]))
 
 
-def test_linear_inner_field_never_takes_the_slow_path(monkeypatch):
-    # with a linear inner flow the fast pass predicts Y_t(x) exactly, so
-    # every preimage it used is certified and no step is re-solved
-    entered = []
-    real = composition._direct_exact
-    monkeypatch.setattr(composition, "_direct_exact",
-                        lambda *a, **k: entered.append(1) or real(*a, **k))
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    real = composition._diagonal_flow
+    monkeypatch.setattr(composition, "_diagonal_flow",
+                        lambda *a, **k: calls.append(k["with_jacobian"]) or real(*a, **k))
+    return calls
+
+
+def test_linear_inner_field_settles_in_one_sweep(monkeypatch):
+    # a linear inner flow has a Jacobian that does not depend on x, so the
+    # one Newton step per row of the first sweep settles every row: one
+    # kernel call with Jacobians to start and one to check, per level
+    calls = _count_kernel_calls(monkeypatch)
     U = gen_fbm(FbmSpec(hurst=0.75, n_points=257, seed=11))
     X = gen_fbm(FbmSpec(hurst=0.75, n_points=257, seed=12))
     g = get_field("scaling", dim=1)
     for f in (g, get_field("square", dim=1)):
+        calls.clear()
         _, _, rep = compose_flows(f, U, g, X, 0.3, levels=3)
         assert rep.converged
-    assert entered == []
+        assert calls == [False, True, True] * 3
+
+
+def test_nonlinear_inner_field_matches_closed_form():
+    # 1-d, f(y) = y outer and g(y) = y^2 inner: V_t = y0 exp(U_t - U_0) and
+    # Y_t(x) = x / (1 - x (X_t - X_0)), so Z_t = V_t / (1 - V_t (X_t - X_0))
+    U = gen_fbm(FbmSpec(hurst=0.75, n_points=513, seed=11))
+    X = gen_fbm(FbmSpec(hurst=0.75, n_points=513, seed=12))
+    f, g, y0 = get_field("scaling", dim=1), get_field("square", dim=1), 0.3
+    V = y0 * np.exp(U.values[:, 0] - U.values[0, 0])
+    Z = V / (1 - V * (X.values[:, 0] - X.values[0, 0]))
+    dists = []
+    for step in (8, 4, 2, 1):
+        comp, direct, _ = compose_flows(f, U.subsample(step), g, X.subsample(step), y0,
+                                        levels=1)
+        dists.append([np.max(np.abs(r.values[:, 0] - Z[::step])) for r in (comp, direct)])
+    for coarse, fine in zip(dists, dists[1:]):
+        assert fine[0] < coarse[0] and fine[1] < coarse[1], dists
+    _, _, rep = compose_flows(f, U, g, X, y0, levels=4)
+    assert rep.converged
+    assert all(b < a for a, b in zip(rep.residuals, rep.residuals[1:]))
+
+
+def test_nonlinear_inner_field_needs_more_than_one_sweep():
+    # a Newton step moves x_i and with it the Jacobian the row used, so a
+    # row it corrects cannot settle in the same sweep
+    U = gen_fbm(FbmSpec(hurst=0.75, n_points=129, seed=11))
+    X = gen_fbm(FbmSpec(hurst=0.75, n_points=129, seed=12))
+    with pytest.raises(NewtonError):
+        compose_flows(get_field("scaling", dim=1), U, get_field("square", dim=1), X, 0.3,
+                      levels=2, newton_max_iter=1)
 
 
 def test_grid_and_dimension_validation():
@@ -118,39 +143,3 @@ def test_grid_and_dimension_validation():
     X2 = SampledPath([0.0, 0.5, 1.0], [0.0, 0.1, 0.2])
     with pytest.raises(PathError):
         compose_flows(get_field("rotation", dim=2), U, f, X2, 1.0)
-
-
-def test_pushforward_of_euler_field_under_its_own_flow():
-    # the flow of f(y) = y is linear, so (Y)_* f is again z -> z
-    X = gen_fbm(FbmSpec(hurst=0.8, n_points=257, seed=5))
-    f = get_field("scaling", dim=1)
-    flow = solve_flow(f, X, np.linspace(0.2, 3.0, 15)[:, None])
-    P = pushforward_field(flow, 1.0, f)
-    k = flow.jacobians[-1, 0, 0, 0]
-    for z in (0.5, 1.2, 2.4):
-        assert P.preimage([z])[0] == pytest.approx(z / k, abs=1e-8)
-        assert P([z])[0, 0] == pytest.approx(z, abs=1e-8)
-    assert P.in_dim == 1 and P.driver_dim == 1
-
-
-def test_pushforward_under_translation_flow():
-    # a constant field translates, leaving Jacobian I:
-    # (Y)_* f(z) = f(z - shift)
-    X = gen_fbm(FbmSpec(hurst=0.75, n_points=129, seed=9))
-    g = _constant_field([1.0, -0.5])
-    grid = np.array([[a, b] for a in np.linspace(-2, 2, 7) for b in np.linspace(-2, 2, 7)])
-    flow = solve_flow(g, X, grid)
-    shift = flow.states[-1, 0] - flow.initial_points[0]
-    P = pushforward_field(flow, 1.0, get_field("square", dim=2))
-    z = np.array([0.4, 0.8])
-    expect = (z - shift) ** 2
-    assert np.allclose(P(z)[:, 0], expect, atol=1e-8)
-
-
-def test_pushforward_validation():
-    X = gen_fbm(FbmSpec(hurst=0.75, n_points=65, seed=1))
-    flow = solve_flow(get_field("scaling", dim=1), X, [[1.0]])
-    with pytest.raises(PathError):
-        pushforward_field(flow, 1.0, get_field("rotation", dim=2))
-    with pytest.raises(PathError):
-        pushforward_field(flow, 0.123456, get_field("scaling", dim=1))
