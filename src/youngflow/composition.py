@@ -110,6 +110,8 @@ def compose_flows(f: FieldSpec, U: SampledPath, g: FieldSpec, X: SampledPath, y0
         raise PathError("compose_flows needs U and X on one grid; refine first")
     if f.in_dim != g.in_dim:
         raise PathError("f and g must act on the same state space")
+    if newton_max_iter < 1:
+        raise PathError("newton_max_iter must be >= 1")
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     finest = []
 

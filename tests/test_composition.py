@@ -81,19 +81,14 @@ def test_routes_converge_on_rough_drivers():
     assert all(a > b for a, b in zip(rep.meshes, rep.meshes[1:]))
 
 
-def _count_kernel_calls(monkeypatch):
-    calls = []
-    real = composition._diagonal_flow
-    monkeypatch.setattr(composition, "_diagonal_flow",
-                        lambda *a, **k: calls.append(k["with_jacobian"]) or real(*a, **k))
-    return calls
-
-
 def test_linear_inner_field_settles_in_one_sweep(monkeypatch):
     # a linear inner flow has a Jacobian that does not depend on x, so the
     # one Newton step per row of the first sweep settles every row: one
     # kernel call with Jacobians to start and one to check, per level
-    calls = _count_kernel_calls(monkeypatch)
+    calls = []
+    real = composition._diagonal_flow
+    monkeypatch.setattr(composition, "_diagonal_flow",
+                        lambda *a, **k: calls.append(k["with_jacobian"]) or real(*a, **k))
     U = gen_fbm(FbmSpec(hurst=0.75, n_points=257, seed=11))
     X = gen_fbm(FbmSpec(hurst=0.75, n_points=257, seed=12))
     g = get_field("scaling", dim=1)
@@ -143,3 +138,5 @@ def test_grid_and_dimension_validation():
     X2 = SampledPath([0.0, 0.5, 1.0], [0.0, 0.1, 0.2])
     with pytest.raises(PathError):
         compose_flows(get_field("rotation", dim=2), U, f, X2, 1.0)
+    with pytest.raises(PathError):
+        compose_flows(f, U, f, X2, 1.0, newton_max_iter=0)

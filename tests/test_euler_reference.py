@@ -350,12 +350,13 @@ def _ref_compose(f, U, g, X, y0, sub, levels):
 @pytest.mark.parametrize("outer, inner, n, y0", [
     ("square", "scaling", 65, 0.3),  # linear inner flow: one sweep settles every row
     ("scaling", "square", 33, 0.3),  # nonlinear inner flow: several sweeps
+    ("rotation", "square", 33, (0.3, -0.2)),  # 2-d: Newton steps solve 2x2 systems
 ])
 def test_compose_flows_matches_reference(sub, outer, inner, n, y0):
     U = gen_fbm(FbmSpec(hurst=0.75, n_points=n, seed=11))
     X = gen_fbm(FbmSpec(hurst=0.75, n_points=n, seed=12))
-    f, g = get_field(outer, dim=1), get_field(inner, dim=1)
-    y0 = np.array([y0])
+    y0 = np.atleast_1d(y0)
+    f, g = get_field(outer, dim=y0.size), get_field(inner, dim=y0.size)
     comp, direct, rep = compose_flows(f, U, g, X, y0, _cfg(sub), levels=3)
     ref_comp, ref_direct, ref_rep = _ref_compose(f, U, g, X, y0, sub, 3)
     assert np.array_equal(comp.values, ref_comp)
