@@ -28,10 +28,10 @@ from .symmetry import (SampleDomain, check_conserved_algebraic,
                        check_symmetry_map, check_symmetry_trajectory, lie_bracket,
                        propagate_observable)
 from .composition import compose_flows
-from .pde import (CausticError, CharField, CharStream, CharTriple, GridBox,
+from .pde import (CausticError, CharStream, CharTriple, GridBox,
                   HamiltonianSpec, InversionError, ScalarHamiltonian,
-                  assemble_solution, assemble_solution_field, build_char_field,
-                  fold_times, interp_nodal, invert_char_map, pde_residual,
+                  assemble_solution, assemble_solution_field, fold_times,
+                  interp_nodal, invert_char_map, pde_residual,
                   seed_from_initial_data, solve_characteristics,
                   verify_compatibility, verify_inverse_flow_equation)
 

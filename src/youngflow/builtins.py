@@ -7,6 +7,8 @@ fully analytic object (Jacobians supplied, no finite differences).
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .fields import (FieldSpec, PointMap, ScalarObservable, SmoothMap,
@@ -250,7 +252,13 @@ def _lookup(table: dict, kind: str, name: str, dim: int, params: dict | None):
     except KeyError:
         known = ", ".join(sorted(table))
         raise UnknownBuiltin(f"unknown {kind} {name!r}; known: {known}") from None
-    return builder(dim, **(params or {}))
+    params = params or {}
+    accepted = list(inspect.signature(builder).parameters)[1:]  # after dim
+    for key in params:
+        if key not in accepted:
+            raise UnknownBuiltin(f"{kind} {name!r} takes no parameter {key!r}; "
+                                 f"accepted: {', '.join(accepted) or 'none'}")
+    return builder(dim, **params)
 
 
 def get_field(name: str, dim: int, params: dict | None = None) -> FieldSpec:

@@ -19,10 +19,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fields import DEFAULT_FD_STEP, SmoothMap, _fd_last_axis
+from .fields import DEFAULT_FD_STEP, FieldSpec, SmoothMap, _fd_last_axis
 from .paths import PathError, SampledPath, dyadic_prefix, dyadic_steps
 from .reports import CheckReport, ResidualReport, residual_ladder
-from .yde import BlowUpError, _freeze_rows, substep_grid
+from .yde import BlowUpError, SolveConfig, _euler_sweep, solve_yde
 
 
 _NEAREST_CHUNK_BYTES = 4 * 2**20  # row block of the cold-start distance array
@@ -182,64 +182,42 @@ class CharTriple:
     c: SampledPath
 
 
-def _char_sweep(H: HamiltonianSpec, X: SampledPath, A0, B0, C0, substeps: int,
-                alive_idx: np.ndarray):
-    """Batched Euler for the characteristic system: yields the (a, b, c)
-    rows of every driver grid point in turn, the seeds' own first.
+def _char_field(H: HamiltonianSpec) -> FieldSpec:
+    """The characteristic system as one Young system dY = f(t, Y) dX.
 
-    Rows are frozen by yde._freeze_rows: a seed that turns non-finite on
-    interval i keeps its step-i triple, and alive_idx (m,), which must
-    hold n - 1 on entry, records i.
+    Y (m, 2d + 1) stacks the rows [a, b, c]; the value (m, 2d + 1, n)
+    holds, per driver component j, the column [-F_p^j, F^j - F_p^j . c,
+    F_x^j + F_u^j c] at (t, a, b, c).
     """
-    ts, dX = substep_grid(X, substeps)
-    a = np.array(np.atleast_2d(A0), dtype=float)
-    b = np.array(np.atleast_1d(B0), dtype=float)
-    c = np.array(np.atleast_2d(C0), dtype=float)
-    alive = np.ones(a.shape[0], dtype=bool)
-    yield a, b, c
-    for i in range(X.n_points - 1):
-        prev = (a, b, c)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in ts[i]:
-                da, db, dc = np.zeros_like(a), np.zeros_like(b), np.zeros_like(c)
-                for j, comp in enumerate(H.components):
-                    fv, fp = comp.value_at(t, a, b, c), comp.dp_at(t, a, b, c)
-                    fx, fu = comp.dx_at(t, a, b, c), comp.du_at(t, a, b, c)
-                    da = da - fp * dX[i, j]
-                    db = db + (fv - np.einsum("md,md->m", fp, c)) * dX[i, j]
-                    dc = dc + (fx + fu[:, None] * c) * dX[i, j]
-                a, b, c = a + da, b + db, c + dc
-            a, b, c = _freeze_rows([a, b, c], i, alive, alive_idx, prev)
-        yield a, b, c
+    d = H.state_dim
 
+    def value(t, y):
+        a, b, c = y[:, :d], y[:, d], y[:, d + 1:]
+        F = np.empty(y.shape + (H.n_drivers,))
+        for j, comp in enumerate(H.components):
+            fv, fp = comp.value_at(t, a, b, c), comp.dp_at(t, a, b, c)
+            fx, fu = comp.dx_at(t, a, b, c), comp.du_at(t, a, b, c)
+            F[:, :d, j] = -fp
+            F[:, d, j] = fv - np.einsum("md,md->m", fp, c)
+            F[:, d + 1:, j] = fx + fu[:, None] * c
+        return F
 
-def _char_core(H: HamiltonianSpec, X: SampledPath, A0, B0, C0, substeps: int = 1):
-    """The histories (n, m, ...) of _char_sweep over all seeds, and alive_idx."""
-    n = X.n_points
-    m, d = np.atleast_2d(A0).shape
-    hist = [np.empty((n, m, d)), np.empty((n, m)), np.empty((n, m, d))]
-    alive_idx = np.full(m, n - 1, dtype=int)
-    for i, rows in enumerate(_char_sweep(H, X, A0, B0, C0, substeps, alive_idx)):
-        for h, v in zip(hist, rows):
-            h[i] = v
-    return (*hist, alive_idx)
+    return FieldSpec(in_dim=2 * d + 1, driver_dim=H.n_drivers, value=value)
 
 
 def solve_characteristics(H: HamiltonianSpec, X: SampledPath, init,
                           substeps: int = 1) -> CharTriple:
-    """Characteristic triple from one seed (x, u, p)."""
+    """Characteristic triple from one seed (x, u, p); BlowUpError if it
+    turns non-finite."""
     x, u, p = init
     x = np.atleast_1d(np.asarray(x, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if X.dim != H.n_drivers:
-        raise PathError("driver dimension does not match the component count")
-    A, B, C, alive = _char_core(H, X, x[None], [float(u)], p[None], substeps)
-    if alive[0] != X.n_points - 1:
-        raise ArithmeticError(f"characteristics blew up after t={X.times[alive[0]]}")
+    d = x.size
+    Y = solve_yde(_char_field(H), X, np.concatenate([x, [float(u)], p]), SolveConfig(substeps))
     return CharTriple(
-        a=SampledPath(X.times, A[:, 0]),
-        b=SampledPath(X.times, B[:, 0]),
-        c=SampledPath(X.times, C[:, 0]),
+        a=SampledPath(X.times, Y.values[:, :d]),
+        b=SampledPath(X.times, Y.values[:, d]),
+        c=SampledPath(X.times, Y.values[:, d + 1:]),
     )
 
 
@@ -267,64 +245,6 @@ class CharRow(NamedTuple):
     jac: np.ndarray  # (m, d, d), D_x a_t across seeds
     tau: np.ndarray  # (m,)
     folded: np.ndarray  # (m,)
-
-
-def _grid_index(times: np.ndarray, t: float) -> int:
-    i = int(np.searchsorted(times, t))
-    if i >= times.size or times[i] != t:
-        raise PathError(f"time {t!r} is not a driver grid point")
-    return i
-
-
-@dataclass(frozen=True)
-class CharField:
-    """Characteristic triples over a seed box, with fold diagnostics.
-
-    jac holds the central-difference Jacobian D_x a_t across neighboring
-    seeds; its determinant det is computed on each access. tau is the
-    first linearly interpolated zero crossing of det per seed, clamped to
-    the horizon when det never changes sign; folded records which seeds
-    actually crossed, so a fold-free seed stays usable at t = horizon.
-    """
-
-    box: GridBox
-    seeds: np.ndarray
-    times: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    jac: np.ndarray
-    tau: np.ndarray
-    folded: np.ndarray
-    alive_until: np.ndarray
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def det(self) -> np.ndarray:
-        return np.linalg.det(self.jac)
-
-    def index_of(self, t: float) -> int:
-        return _grid_index(self.times, t)
-
-    def row(self, idx: int) -> CharRow:
-        return CharRow(idx, self.times[idx], self.A[idx], self.B[idx], self.C[idx],
-                       self.jac[idx], self.tau, self.folded)
-
-    def rows(self, indices):
-        return (self.row(i) for i in indices)
-
-    def triple(self, seed_index: int) -> CharTriple:
-        return CharTriple(
-            a=SampledPath(self.times, self.A[:, seed_index]),
-            b=SampledPath(self.times, self.B[:, seed_index]),
-            c=SampledPath(self.times, self.C[:, seed_index]),
-        )
-
-    def tau_map(self) -> np.ndarray:
-        return self.tau.reshape(self.box.counts)
 
 
 def _seed_gradient(box: GridBox, resh: np.ndarray) -> list:
@@ -386,15 +306,6 @@ class _FoldScan:
         self._prev = rows[-1].copy()
 
 
-def _first_zero_crossing(times: np.ndarray, det):
-    """(tau, folded) of _FoldScan over the (n, m) array det or an
-    iterable of its consecutive row blocks."""
-    scan = _FoldScan(times)
-    for block in [det] if isinstance(det, np.ndarray) else det:
-        scan.feed(block)
-    return scan.tau, scan.folded
-
-
 def _seed_data(H: HamiltonianSpec, phi: SmoothMap, box: GridBox):
     if box.dim != H.state_dim:
         raise PathError("seed box dimension does not match the state dimension")
@@ -404,29 +315,33 @@ def _seed_data(H: HamiltonianSpec, phi: SmoothMap, box: GridBox):
 class CharStream:
     """The characteristic rows of a seed box, one driver grid point at a time.
 
-    Iterating runs _char_sweep once and yields a CharRow per grid point,
-    in order. The a_t rows are gathered _FOLD_BLOCK_ROWS at a time, and
-    each block's seed Jacobian is computed and its determinant fed to the
-    fold scan, so memory is O(seeds x block) for any driver length; large
-    seed boxes get fewer rows per block (_FOLD_BLOCK_BYTES). Row
-    idx is yielded only once the scan has seen row idx + 1: a crossing
-    between rows idx and idx + 1 can round to tau == t_idx, which blocks
-    slice idx. A row's arrays are buffers, valid until the next row is
-    requested. When the iteration ends, tau, folded and alive_until are
-    final.
+    Iterating runs yde._euler_sweep once on _char_field(H) and yields a
+    CharRow per grid point, in order. The a_t rows are gathered
+    _FOLD_BLOCK_ROWS at a time, and each block's seed Jacobian is computed
+    and its determinant fed to the fold scan, so memory is O(seeds x
+    block) for any driver length; large seed boxes get fewer rows per
+    block (_FOLD_BLOCK_BYTES). Row idx is yielded only once the scan has
+    seen row idx + 1: a crossing between rows idx and idx + 1 can round to
+    tau == t_idx, which blocks slice idx. A row's arrays are buffers,
+    valid until the next row is requested. When the iteration ends, tau,
+    folded and alive_until are final.
     """
 
     def __init__(self, H: HamiltonianSpec, X: SampledPath, phi: SmoothMap,
                  box: GridBox, substeps: int = 1):
         if X.dim != H.n_drivers:
             raise PathError("driver dimension does not match the component count")
-        self.seeds, self._u0, self._p0 = _seed_data(H, phi, box)
+        self.seeds, u0, p0 = _seed_data(H, phi, box)
         self.box, self.times = box, X.times
-        self._H, self._X, self._substeps = H, X, substeps
+        self._y0 = np.concatenate([self.seeds, u0[:, None], p0], axis=1)
+        self._field, self._X, self._cfg = _char_field(H), X, SolveConfig(substeps)
         self.tau = self.folded = self.alive_until = None
 
     def index_of(self, t: float) -> int:
-        return _grid_index(self.times, t)
+        i = int(np.searchsorted(self.times, t))
+        if i >= self.times.size or self.times[i] != t:
+            raise PathError(f"time {t!r} is not a driver grid point")
+        return i
 
     def rows(self, indices):
         """The rows at non-decreasing grid indices; the sweep runs to the end."""
@@ -448,14 +363,14 @@ class CharStream:
         alive_idx = np.full(m, n - 1, dtype=int)
         scan = _FoldScan(times)
         held = None  # the last row of the previous block
-        sweep = _char_sweep(self._H, X, self.seeds, self._u0, self._p0, self._substeps,
-                            alive_idx)
-        for i, (a, b, c) in enumerate(sweep):
+        sweep = _euler_sweep(self._field, X, self._y0, self._cfg, False, n, alive_idx)
+        for i in range(n):
             s = i % size
-            A[s], B[s], C[s] = a, b, c
-            if s < size - 1 and i < n - 1:
-                continue
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):  # never on while a row is out
+                (y,) = next(sweep)
+                A[s], B[s], C[s] = y[:, :d], y[:, d], y[:, d + 1:]
+                if s < size - 1 and i < n - 1:
+                    continue
                 jac = _seed_jacobian(box, A[:s + 1], J[:s + 1])
             if not np.isfinite(jac).all():  # frozen seeds next to live ones: no fold scan
                 r = int(np.argmin(np.isfinite(jac).reshape(s + 1, -1).all(axis=1)))
@@ -471,23 +386,9 @@ class CharStream:
         yield CharRow(n - 1, times[n - 1], *held, scan.tau, scan.folded)
 
 
-def build_char_field(H: HamiltonianSpec, X: SampledPath, phi: SmoothMap,
-                     box: GridBox, substeps: int = 1) -> CharField:
-    """Every row of CharStream, kept for the checks that need the whole history."""
-    stream = CharStream(H, X, phi, box, substeps)
-    n, (m, d) = X.n_points, stream.seeds.shape
-    A, B, C = np.empty((n, m, d)), np.empty((n, m)), np.empty((n, m, d))
-    jac = np.empty((n, m, d, d))
-    for row in stream:
-        A[row.index], B[row.index], C[row.index], jac[row.index] = row.a, row.b, row.c, row.jac
-    return CharField(box=box, seeds=stream.seeds, times=X.times, A=A, B=B, C=C,
-                     jac=jac, tau=stream.tau, folded=stream.folded,
-                     alive_until=stream.alive_until)
-
-
 def fold_times(H: HamiltonianSpec, X: SampledPath, phi: SmoothMap,
                box: GridBox, substeps: int = 1):
-    """(tau, folded) of build_char_field from CharStream, in its bounded memory."""
+    """(tau, folded) of a CharStream run to its end, in its bounded memory."""
     stream = CharStream(H, X, phi, box, substeps)
     for _ in stream:
         pass
@@ -546,12 +447,13 @@ def _nearest_nodes(A: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def invert_char_map(field: CharField, t: float, y, newton_tol: float = 1e-10,
+def invert_char_map(stream: CharStream, t: float, y, newton_tol: float = 1e-10,
                     max_iter: int = 50) -> np.ndarray:
-    """Preimage under the interpolated characteristic map at grid time t."""
-    idx = field.index_of(t)
+    """Preimage under the interpolated characteristic map at grid time t;
+    the stream runs only as far as that row needs."""
+    row = next(stream.rows([stream.index_of(t)]))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    x, _, ok, pre, inside = _invert_batch(field.box, field.seeds, field.row(idx), y[None, :],
+    x, _, ok, pre, inside = _invert_batch(stream.box, stream.seeds, row, y[None, :],
                                           newton_tol, max_iter)
     if not pre[0]:
         raise CausticError(f"t={t} is at or beyond the fold for this region")
@@ -581,34 +483,33 @@ class SolutionField:
     sigma_proxy: np.ndarray
 
 
-def assemble_solution(source, t: float, points,
+def assemble_solution(stream: CharStream, t: float, points,
                       newton_tol: float = 1e-10, max_iter: int = 50):
     """One time slice: (u (k,), du (k, d), valid (k,)) at the given points."""
-    sol = assemble_solution_field(source, points, [t], newton_tol, max_iter)
+    sol = assemble_solution_field(stream, points, [t], newton_tol, max_iter)
     return sol.u[0], sol.du[0], sol.valid[0]
 
 
-def assemble_solution_field(source, points, times=None,
+def assemble_solution_field(stream: CharStream, points, times=None,
                             newton_tol: float = 1e-10, max_iter: int = 50) -> SolutionField:
     """Assemble u, Du over many times, warm-starting the inversions.
 
-    source is a CharField or a CharStream. A stream takes the times in
-    increasing order and runs to its end, so the result is the same as
-    from the stream's CharField while memory stays O(seeds x block) plus
-    the outputs.
+    The times (default: every grid time) are taken in increasing order and
+    the stream runs to its end, so tau_map is final while memory stays
+    O(seeds x block) plus the outputs.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if times is None:
-        times = source.times
+        times = stream.times
     times = np.asarray(times, dtype=float)
     k = pts.shape[0]
     u = np.empty((times.size, k))
-    du = np.empty((times.size, k, source.box.dim))
+    du = np.empty((times.size, k, stream.box.dim))
     valid = np.empty((times.size, k), dtype=bool)
     x_prev = None
-    rows = source.rows(source.index_of(float(t)) for t in times)
+    rows = stream.rows(stream.index_of(float(t)) for t in times)
     for r, row in enumerate(rows):
-        x, loc, ok, pre, inside = _invert_batch(source.box, source.seeds, row, pts,
+        x, loc, ok, pre, inside = _invert_batch(stream.box, stream.seeds, row, pts,
                                                 newton_tol, max_iter, x0=x_prev)
         v = ok & pre & inside
         u[r] = _interp(loc, row.b)
@@ -625,7 +526,7 @@ def assemble_solution_field(source, points, times=None,
         if bad.size:
             sigma[j] = float(times[bad[0]])
     return SolutionField(points=pts, times=times, u=u, du=du, valid=valid,
-                         tau_map=source.tau.copy(), sigma_proxy=sigma)
+                         tau_map=stream.tau.copy(), sigma_proxy=sigma)
 
 
 def pde_residual(sol: SolutionField, H: HamiltonianSpec, X: SampledPath,
@@ -679,7 +580,7 @@ def pde_residual(sol: SolutionField, H: HamiltonianSpec, X: SampledPath,
     return residual_ladder(X, levels, lambda step, Xk: (Xk.mesh, float(worst[step]), scale))
 
 
-def verify_inverse_flow_equation(field: CharField, H: HamiltonianSpec, X: SampledPath,
+def verify_inverse_flow_equation(stream: CharStream, H: HamiltonianSpec, X: SampledPath,
                                  points, levels: int = 3,
                                  newton_tol: float = 1e-10, max_iter: int = 50) -> ResidualReport:
     """Differenced a_t^{-1}(y) against its displayed driving equation.
@@ -692,11 +593,11 @@ def verify_inverse_flow_equation(field: CharField, H: HamiltonianSpec, X: Sample
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     X = dyadic_prefix(X, levels)
     n, k = X.n_points, pts.shape[0]
-    P = np.empty((n, k, field.box.dim))
-    SJ = np.empty((H.n_drivers, n, k, field.box.dim))
+    P = np.empty((n, k, stream.box.dim))
+    SJ = np.empty((H.n_drivers, n, k, stream.box.dim))
     x_prev = None
-    for i, row in enumerate(field.rows(range(n))):
-        x, loc, ok, pre, inside = _invert_batch(field.box, field.seeds, row, pts, newton_tol,
+    for i, row in enumerate(stream.rows(range(n))):
+        x, loc, ok, pre, inside = _invert_batch(stream.box, stream.seeds, row, pts, newton_tol,
                                                 max_iter, x0=x_prev)
         if not pre.all():
             raise CausticError("inverse-flow check needs pre-fold points throughout")
@@ -716,27 +617,35 @@ def verify_inverse_flow_equation(field: CharField, H: HamiltonianSpec, X: Sample
     def level(step, Xk):
         tsel = np.arange(0, n, step)
         incr = np.einsum("jikd,ij->ikd", SJ[:, tsel[:-1]], np.diff(Xk.values, axis=0))
-        W = np.concatenate([np.zeros((1, k, field.box.dim)), np.cumsum(incr, axis=0)])
+        W = np.concatenate([np.zeros((1, k, stream.box.dim)), np.cumsum(incr, axis=0)])
         resid = (P[tsel] - P[0][None]) - W
         return Xk.mesh, float(np.max(np.linalg.norm(resid, axis=2))), scale
 
     return residual_ladder(X, levels, level)
 
 
-def verify_compatibility(field: CharField, tol: float = 1e-3) -> CheckReport:
-    """D_x b_t = c_t . D_x a_t across seeds and times (central differences)."""
-    n = field.times.size
-    box = field.box
-    b_resh = field.B.reshape((n,) + box.counts)
-    db = np.stack(_seed_gradient(box, b_resh), axis=-1).reshape(n, -1, box.dim)
-    rhs = np.einsum("nme,nmei->nmi", field.C, field.jac)
-    resid = np.linalg.norm(db - rhs, axis=2)  # (n, m)
-    flat = int(np.argmax(resid))
-    ti, si = np.unravel_index(flat, resid.shape)
+def verify_compatibility(stream: CharStream, tol: float = 1e-3) -> CheckReport:
+    """D_x b_t = c_t . D_x a_t across seeds and times (central differences).
+
+    Reduced row by row, in the stream's O(seeds x block) memory; the
+    worst entry is the first maximum in (time, seed) order, or the first
+    NaN, as np.argmax over the whole table.
+    """
+    box = stream.box
+    worst, ti, si = -np.inf, 0, 0
+    for row in stream:
+        db = np.stack(_seed_gradient(box, row.b.reshape((1,) + box.counts)), axis=-1)
+        rhs = np.einsum("me,mei->mi", row.c, row.jac)
+        resid = np.linalg.norm(db.reshape(-1, box.dim) - rhs, axis=1)  # (m,)
+        j = int(np.argmax(resid))
+        if not resid[j] <= worst:
+            worst, ti, si = resid[j], row.index, j
+            if np.isnan(worst):
+                break
     return CheckReport(
-        max_residual=float(resid[ti, si]),
-        arg_max_point=tuple(float(v) for v in field.seeds[si]),
-        passed=bool(resid[ti, si] <= tol),
+        max_residual=float(worst),
+        arg_max_point=tuple(float(v) for v in stream.seeds[si]),
+        passed=bool(worst <= tol),
         tol=float(tol),
-        details={"time": float(field.times[ti])},
+        details={"time": float(stream.times[ti])},
     )

@@ -91,7 +91,7 @@ def _euler_sweep(field: FieldSpec, X: SampledPath, y0s: np.ndarray, cfg: SolveCo
     Yields [y] (m, d) or [y, jac] (m, d, d) per grid point, never written
     again. Rows that turn non-finite are frozen by _freeze_rows and
     recorded in alive_idx (m,), which must hold n - 1 on entry. Overflow
-    is expected: the caller iterates under np.errstate, entered once.
+    is expected: the caller advances the sweep under np.errstate.
     """
     ts, dx = substep_grid(X, cfg.substeps_per_interval, n)
     y = np.array(np.atleast_2d(y0s), dtype=float)
@@ -215,6 +215,8 @@ def invert_flow(flow: FlowMap, t: float, y, newton_tol: float = 1e-10,
     is nearest y (or the caller's warm start). Steps are halved while the
     residual increases.
     """
+    if flow.jacobians is None:
+        raise PathError("invert_flow needs a flow solved with jacobian_history=True")
     idx = flow.index_of(t)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if initial_guess is not None:

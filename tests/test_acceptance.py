@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from youngflow import (
+    CharStream,
     DeterministicSpec,
     FbmSpec,
     FieldSpec,
@@ -19,11 +20,11 @@ from youngflow import (
     SampledPath,
     SolveConfig,
     assemble_solution_field,
-    build_char_field,
     chain_rule_residual,
     check_conserved_trajectory,
     check_symmetry_map,
     compose_flows,
+    fold_times,
     gen_deterministic,
     gen_fbm,
     p_variation,
@@ -227,8 +228,8 @@ def test_criterion_08_transport_pde_closed_form():
         dx = X.values[:, 0] - X.values[0, 0]
         half = 1.0 + 0.7 * float(np.max(np.abs(dx))) + 0.5
         counts = int(round(2 * half / 0.05)) + 1
-        field = build_char_field(H, X, phi, GridBox((-half,), (half,), (counts,)))
-        sol = assemble_solution_field(field, pts)
+        stream = CharStream(H, X, phi, GridBox((-half,), (half,), (counts,)))
+        sol = assemble_solution_field(stream, pts)
         assert sol.valid.all()  # transport never folds
         target = np.sin(pts[:, 0][None, :] + 0.7 * dx[:, None])
         worst = max(worst, float(np.max(np.abs(sol.u - target))))
@@ -257,12 +258,12 @@ def test_criterion_09_caustic_against_symbolic_oracle():
 
     n = 2 ** 11 + 1
     X = _ramp(n, 1.5, slope=-1.0)
-    field = build_char_field(get_hamiltonian("burgers-half-p-squared", 1), X,
+    tau, folded = fold_times(get_hamiltonian("burgers-half-p-squared", 1), X,
                              get_initial_data("neg-half-square", 1),
                              GridBox((-2.0,), (2.0,), (201,)))
     step = 1.5 / (n - 1)
-    gap = float(np.max(np.abs(field.tau - tau_star)))
-    ok = field.folded.all() and gap <= step
+    gap = float(np.max(np.abs(tau - tau_star)))
+    ok = folded.all() and gap <= step
     _verdict(9, ok, f"oracle tau {tau_star}, max |tau - oracle| {gap:.2e} "
              f"vs step {step:.2e}", t0, 30.0)
 
@@ -270,10 +271,10 @@ def test_criterion_09_caustic_against_symbolic_oracle():
 def test_criterion_10_compatibility_identity():
     t0 = time.perf_counter()
     X = _ramp(513, 0.8, slope=-1.0)
-    field = build_char_field(get_hamiltonian("burgers-half-p-squared", 1), X,
-                             get_initial_data("neg-half-square", 1),
-                             GridBox((-2.0,), (2.0,), (401,)))
-    rep = verify_compatibility(field, tol=1e-3)
+    stream = CharStream(get_hamiltonian("burgers-half-p-squared", 1), X,
+                        get_initial_data("neg-half-square", 1),
+                        GridBox((-2.0,), (2.0,), (401,)))
+    rep = verify_compatibility(stream, tol=1e-3)
     _verdict(10, rep.passed and rep.max_residual <= 1e-3,
              f"max residual {rep.max_residual:.1e} at seed spacing 1e-2",
              t0, 30.0)

@@ -211,6 +211,26 @@ def test_unknown_builtin_exits_two(capsys, lin17_csv):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, accepted", [
+    (["solve", "--field", "scaling", "--dim", "1", "--params", "foo=1", "--y0", "1",
+      "--driver", "LIN", "-o", "OUT"], "none"),
+    (["pde", "caustic", "--hamiltonian", "transport-k", "--init", "sin",
+      "--init-params", "foo=1", "--driver", "LIN", "--box=-1:1:5", "-o", "OUT"], "wavenumber"),
+    (["check", "symmetry", "--map", "rotation", "--map-params", "foo=1", "--field",
+      "rotation", "--dim", "2", "--mode", "trajectory", "--driver", "LIN", "--y0", "0.5,0.5",
+      "-o", "OUT"], "angle"),
+    (["check", "infinitesimal", "--generator", "rotation", "--generator-params", "foo=1",
+      "--field", "scaling", "--dim", "2", "-o", "OUT"], "none"),
+])
+def test_unknown_builtin_parameter_exits_two(capsys, workdir, lin17_csv, argv, accepted):
+    out = str(workdir / "never_params")
+    rc = main([lin17_csv if a == "LIN" else out if a == "OUT" else a for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "'foo'" in err and f"accepted: {accepted}" in err
+    assert not os.path.exists(out)
+
+
 def test_missing_file_exits_two(capsys):
     rc = main(["pvar", "--p", "1.5", "--path", "/nonexistent/path.csv"])
     capsys.readouterr()
@@ -488,15 +508,17 @@ def test_pde_caustic_equals_char_field_payload(capsys, negline_csv, init, subste
                            "--dim", str(dim), "--substeps", substeps])
     assert rc == 0
     grid = cli._box(box.split("=")[1], dim, "--box")
-    field = youngflow.build_char_field(
+    stream = youngflow.CharStream(
         youngflow.builtins.get_hamiltonian("burgers-half-p-squared", dim),
         read_path_csv(negline_csv), youngflow.builtins.get_initial_data(init, dim),
         grid, substeps=int(substeps))
+    for _ in stream:  # every row, as a solve would read them
+        pass
     want = {
-        "tau_map": jsonable_times(field.tau_map()),
-        "min_tau": float(field.tau.min()),
-        "n_folded": int(field.folded.sum()),
-        "horizon": field.horizon,
+        "tau_map": jsonable_times(stream.tau.reshape(grid.counts)),
+        "min_tau": float(stream.tau.min()),
+        "n_folded": int(stream.folded.sum()),
+        "horizon": float(stream.times[-1]),
         "box": {"lower": list(grid.lower), "upper": list(grid.upper),
                 "counts": list(grid.counts)},
     }

@@ -17,20 +17,23 @@ import pytest
 
 import youngflow.cli as cli
 import youngflow.composition as composition
-import youngflow.pde as pde
 import youngflow.symmetry as symmetry
 from youngflow import (
+    CharStream,
     DeterministicSpec,
     FbmSpec,
     FieldSpec,
+    GridBox,
     HamiltonianSpec,
     SampledPath,
     ScalarHamiltonian,
+    SmoothMap,
     SolveConfig,
     compose_flows,
     gen_deterministic,
     gen_fbm,
     make_residual_report,
+    seed_from_initial_data,
     solve_flow,
     solve_yde,
 )
@@ -381,15 +384,32 @@ def _timed_hamiltonian():
     return HamiltonianSpec(state_dim=2, components=(transport, burgers))
 
 
+def _seed_data_map(value, gradient):
+    """Initial data whose seeds get u = value(x) (m,) and p = gradient(x) (m, d)."""
+    return SmoothMap(in_dim=2, out_dim=1, value=lambda x: value(x)[..., None],
+                     jacobian=lambda x: gradient(x)[..., None, :])
+
+
+def _stream_history(H, X, phi, box, sub):
+    """The a, b, c rows of a CharStream run to its end, and its alive_until."""
+    stream = CharStream(H, X, phi, box, sub)
+    rows = [(row.a.copy(), row.b.copy(), row.c.copy()) for row in stream]
+    return (*(np.stack(v) for v in zip(*rows)), stream.alive_until)
+
+
 @pytest.mark.parametrize("sub", [1, 2])
 def test_char_core_matches_reference(sub):
+    # the characteristic core: CharStream steps pde._char_field on yde's sweep
     X = _fbm2(97, 7)
-    seeds = np.random.default_rng(4).uniform(-1.0, 1.0, (11, 2))
-    u0, p0 = np.sin(seeds[:, 0]), np.cos(seeds)
+    box = GridBox((-1.0, -1.0), (1.0, 1.0), (4, 3))
+    phi = _seed_data_map(lambda x: np.sin(x[..., 0]), np.cos)
+    seeds, u0, p0 = seed_from_initial_data(phi, box.points())
     H = _timed_hamiltonian()
-    got = pde._char_core(H, X, seeds, u0, p0, sub)
-    for g, r in zip(got, _ref_char_core(H, X, seeds, u0, p0, sub)):
+    got = _stream_history(H, X, phi, box, sub)
+    ref = _ref_char_core(H, X, seeds, u0, p0, sub)
+    for g, r in zip(got, ref[:3]):
         assert np.array_equal(g, r)
+    assert np.array_equal(got[3], X.times[ref[3]])
 
 
 @pytest.mark.parametrize("sub", [1, 2])
@@ -398,10 +418,14 @@ def test_char_core_blow_up_with_substeps_matches_reference(sub):
     H = HamiltonianSpec(state_dim=1,
                         components=(ScalarHamiltonian(value=lambda t, x, u, p: u ** 2),))
     X = gen_deterministic(DeterministicSpec(kind="linear", n_points=65))
-    seeds = np.linspace(0.0, 4.0, 9)[:, None]
-    u0 = np.linspace(0.0, 40.0, 9)
-    got = pde._char_core(H, X, seeds, u0, seeds.copy(), sub)
+    box = GridBox((0.0,), (4.0,), (9,))
+    phi = SmoothMap(in_dim=1, out_dim=1, value=lambda x: 10.0 * x,
+                    jacobian=lambda x: x[..., None])
+    seeds, u0, p0 = seed_from_initial_data(phi, box.points())
+    assert np.array_equal(u0, np.linspace(0.0, 40.0, 9)) and np.array_equal(p0, seeds)
+    got = _stream_history(H, X, phi, box, sub)
     ref = _ref_char_core(H, X, seeds, u0, seeds.copy(), sub)
     assert 0 < np.sum(ref[3] < X.n_points - 1) < 9
-    for g, r in zip(got, ref):
+    for g, r in zip(got, ref[:3]):
         assert np.array_equal(g, r)
+    assert np.array_equal(got[3], X.times[ref[3]])

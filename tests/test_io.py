@@ -15,12 +15,12 @@ from youngflow import io as yio
 from youngflow.cli import main
 
 from youngflow import (
+    CharStream,
     FbmSpec,
     GridBox,
     PathError,
     SampledPath,
     assemble_solution_field,
-    build_char_field,
     gen_fbm,
     solve_flow,
 )
@@ -125,9 +125,9 @@ def test_solution_field_layout(tmp_path):
     H = get_hamiltonian("transport-k", dim=1, params={"k": 0.5})
     phi = get_initial_data("sin", dim=1)
     box = GridBox(lower=(-3.0,), upper=(3.0,), counts=(61,))
-    field = build_char_field(H, X, phi, box)
+    stream = CharStream(H, X, phi, box)
     pts = np.linspace(-1.0, 1.0, 5)[:, None]
-    sol = assemble_solution_field(field, pts, times=X.times[::8])
+    sol = assemble_solution_field(stream, pts, times=X.times[::8])
     index = write_solution_field(tmp_path / "sol", sol)
     assert len(index["files"]) == 5
     assert index["n_eval_points"] == 5

@@ -5,6 +5,7 @@ import pytest
 
 from youngflow import (
     CausticError,
+    CharStream,
     DeterministicSpec,
     FbmSpec,
     GridBox,
@@ -16,7 +17,6 @@ from youngflow import (
     SmoothMap,
     assemble_solution,
     assemble_solution_field,
-    build_char_field,
     gen_deterministic,
     gen_fbm,
     interp_nodal,
@@ -56,6 +56,11 @@ def _line(n, horizon=1.0):
 def _neg_line(n, horizon=1.0):
     X = _line(n, horizon)
     return SampledPath(X.times, -X.values)
+
+
+def _dets(stream):
+    """det D_x a_t (n, m) of every row; the stream is run to its end."""
+    return np.stack([np.linalg.det(row.jac) for row in stream])
 
 
 # ------------------------------------------------------------------- grids
@@ -149,7 +154,7 @@ def test_seed_from_initial_data_values():
     assert np.allclose(p[0], [3.0, 0.0])
 
 
-# -------------------------------------------------------------- char field
+# ------------------------------------------------------------ char stream
 
 
 def test_transport_field_never_folds():
@@ -157,12 +162,13 @@ def test_transport_field_never_folds():
     H = get_hamiltonian("transport-k", dim=1, params={"k": 0.7})
     phi = get_initial_data("sin", dim=1)
     box = GridBox(lower=(-2.0,), upper=(2.0,), counts=(101,))
-    field = build_char_field(H, X, phi, box)
-    assert np.allclose(field.det, 1.0, atol=1e-12)
-    assert not field.folded.any()
-    assert np.all(field.tau == field.horizon)
-    assert np.all(field.alive_until == field.horizon)
-    assert field.tau_map().shape == (101,)
+    stream = CharStream(H, X, phi, box)
+    assert np.allclose(_dets(stream), 1.0, atol=1e-12)
+    horizon = X.times[-1]
+    assert not stream.folded.any()
+    assert np.all(stream.tau == horizon)
+    assert np.all(stream.alive_until == horizon)
+    assert stream.tau.reshape(box.counts).shape == (101,)
 
 
 def test_fold_time_matches_hand_computation():
@@ -172,24 +178,30 @@ def test_fold_time_matches_hand_computation():
     H = get_hamiltonian("burgers-half-p-squared", dim=1)
     phi = get_initial_data("neg-half-square", dim=1)
     box = GridBox(lower=(-2.0,), upper=(2.0,), counts=(101,))
-    field = build_char_field(H, X, phi, box)
-    assert field.folded.all()
-    assert np.max(np.abs(field.tau - 1.0)) < 1e-9
-    assert np.allclose(field.det[0], 1.0, atol=1e-12)
-    i = field.index_of(X.times[len(X.times) // 3])
-    assert np.allclose(field.det[i], 1.0 - field.times[i], atol=1e-9)
+    stream = CharStream(H, X, phi, box)
+    det = _dets(stream)
+    assert stream.folded.all()
+    assert np.max(np.abs(stream.tau - 1.0)) < 1e-9
+    assert np.allclose(det[0], 1.0, atol=1e-12)
+    i = stream.index_of(X.times[len(X.times) // 3])
+    assert np.allclose(det[i], 1.0 - stream.times[i], atol=1e-9)
 
 
 def test_char_field_triple_accessor():
     X = _line(65)
     H = get_hamiltonian("transport-k", dim=1, params={"k": 1.0})
     box = GridBox(lower=(-1.0,), upper=(1.0,), counts=(11,))
-    field = build_char_field(H, X, _linear_init(), box)
-    tri = field.triple(5)
+    stream = CharStream(H, X, _linear_init(), box)
+    (x,), (u,), (p,) = seed_from_initial_data(_linear_init(), stream.seeds[5:6])
+    tri = solve_characteristics(H, X, (x, u, p))
     assert tri.a.n_points == 65
-    assert tri.a.values[0, 0] == field.seeds[5, 0]
+    assert tri.a.values[0, 0] == stream.seeds[5, 0]
+    # one seed alone gets the bits of its column in the stream
+    rows = [(row.a[5].copy(), row.b[5], row.c[5].copy()) for row in stream]
+    for got, col in zip((tri.a, tri.b, tri.c), zip(*rows)):
+        assert np.array_equal(got.values, np.stack(col).reshape(got.values.shape))
     with pytest.raises(PathError):
-        field.index_of(0.1234567)
+        stream.index_of(0.1234567)
 
 
 def test_box_dimension_must_match_state():
@@ -197,8 +209,8 @@ def test_box_dimension_must_match_state():
     H = get_hamiltonian("transport-k", dim=2)
     box = GridBox(lower=(-1.0,), upper=(1.0,), counts=(5,))
     with pytest.raises(PathError):
-        build_char_field(H, SampledPath(X.times, np.column_stack([X.values, X.values])),
-                         get_initial_data("sin", dim=2), box)
+        CharStream(H, SampledPath(X.times, np.column_stack([X.values, X.values])),
+                   get_initial_data("sin", dim=2), box)
 
 
 # --------------------------------------------------------------- inversion
@@ -209,19 +221,19 @@ def _transport_field(n=257, k=0.7, seed=5, counts=201):
     H = get_hamiltonian("transport-k", dim=1, params={"k": k})
     phi = get_initial_data("sin", dim=1)
     box = GridBox(lower=(-3.0,), upper=(3.0,), counts=(counts,))
-    return X, H, phi, build_char_field(H, X, phi, box)
+    return X, H, phi, CharStream(H, X, phi, box)
 
 
 def test_invert_transport_map():
-    X, H, phi, field = _transport_field()
+    X, H, phi, stream = _transport_field()
     dx = X.values[:, 0] - X.values[0, 0]
     for idx in (0, 100, 256):
         t = float(X.times[idx])
         y = 0.4
-        x = invert_char_map(field, t, [y])
+        x = invert_char_map(stream, t, [y])
         assert x[0] == pytest.approx(y + 0.7 * dx[idx], abs=1e-8)
     # t = 0 inverts to the point itself
-    assert invert_char_map(field, 0.0, [0.4])[0] == pytest.approx(0.4, abs=1e-10)
+    assert invert_char_map(stream, 0.0, [0.4])[0] == pytest.approx(0.4, abs=1e-10)
 
 
 def test_invert_past_fold_raises_caustic():
@@ -229,20 +241,20 @@ def test_invert_past_fold_raises_caustic():
     H = get_hamiltonian("burgers-half-p-squared", dim=1)
     phi = get_initial_data("neg-half-square", dim=1)
     box = GridBox(lower=(-2.0,), upper=(2.0,), counts=(101,))
-    field = build_char_field(H, X, phi, box)
+    stream = CharStream(H, X, phi, box)
     t_past = float(X.times[np.searchsorted(X.times, 1.2)])
     with pytest.raises(CausticError):
-        invert_char_map(field, t_past, [0.3])
+        invert_char_map(stream, t_past, [0.3])
     # before the fold the same point inverts fine
     t_pre = float(X.times[np.searchsorted(X.times, 0.5)])
-    x = invert_char_map(field, t_pre, [0.3])
+    x = invert_char_map(stream, t_pre, [0.3])
     assert x[0] == pytest.approx(0.3 / (1.0 - t_pre), abs=1e-8)
 
 
 def test_invert_outside_box_raises_inversion_error():
-    _, _, _, field = _transport_field()
+    _, _, _, stream = _transport_field()
     with pytest.raises(InversionError):
-        invert_char_map(field, 1.0, [50.0])
+        invert_char_map(stream, 1.0, [50.0])
 
 
 # ---------------------------------------------------------------- assembly
@@ -251,20 +263,20 @@ def test_invert_outside_box_raises_inversion_error():
 def test_assemble_zero_hamiltonian_returns_initial_data():
     X = _line(33)
     box = GridBox(lower=(-1.0,), upper=(1.0,), counts=(21,))
-    field = build_char_field(_zero_hamiltonian(1), X, _linear_init(), box)
+    stream = CharStream(_zero_hamiltonian(1), X, _linear_init(), box)
     pts = np.linspace(-0.9, 0.9, 7)[:, None]
-    u, du, valid = assemble_solution(field, 1.0, pts)
+    u, du, valid = assemble_solution(stream, 1.0, pts)
     assert valid.all()
     assert np.allclose(u, 0.5 + 0.25 * pts[:, 0], atol=1e-10)
     assert np.allclose(du, 0.25, atol=1e-10)
 
 
 def test_assemble_transport_closed_form():
-    X, H, phi, field = _transport_field(counts=601)
+    X, H, phi, stream = _transport_field(counts=601)
     pts = np.linspace(-1.0, 1.0, 21)[:, None]
     for idx in (64, 192, 256):
         t = float(X.times[idx])
-        u, du, valid = assemble_solution(field, t, pts)
+        u, du, valid = assemble_solution(stream, t, pts)
         assert valid.all()
         shift = 0.7 * (X.values[idx, 0] - X.values[0, 0])
         assert np.max(np.abs(u - np.sin(pts[:, 0] + shift))) < 5e-4
@@ -274,18 +286,18 @@ def test_assemble_transport_closed_form():
 def test_assemble_solution_field_sigma_and_validity():
     # transport never invalidates; the folding field invalidates just
     # after its caustic time
-    X, H, phi, field = _transport_field(n=129)
+    X, H, phi, stream = _transport_field(n=129)
     pts = np.linspace(-0.5, 0.5, 5)[:, None]
-    sol = assemble_solution_field(field, pts)
+    sol = assemble_solution_field(stream, pts)
     assert sol.valid.all()
     assert np.all(np.isinf(sol.sigma_proxy))
-    assert np.array_equal(sol.tau_map, field.tau)
+    assert np.array_equal(sol.tau_map, stream.tau)
 
     Xn = _neg_line(2**8 + 1, horizon=1.5)
     Hb = get_hamiltonian("burgers-half-p-squared", dim=1)
-    fieldb = build_char_field(Hb, Xn, get_initial_data("neg-half-square", dim=1),
-                              GridBox(lower=(-2.0,), upper=(2.0,), counts=(101,)))
-    solb = assemble_solution_field(fieldb, np.array([[0.0]]))
+    streamb = CharStream(Hb, Xn, get_initial_data("neg-half-square", dim=1),
+                         GridBox(lower=(-2.0,), upper=(2.0,), counts=(101,)))
+    solb = assemble_solution_field(streamb, np.array([[0.0]]))
     assert not solb.valid.all()
     assert np.isfinite(solb.sigma_proxy[0])
     assert abs(solb.sigma_proxy[0] - 1.0) < 0.05
@@ -301,27 +313,27 @@ def test_assemble_solution_field_sigma_and_validity():
 def test_pde_residual_zero_hamiltonian_exact():
     X = _line(65)
     box = GridBox(lower=(-1.0,), upper=(1.0,), counts=(21,))
-    field = build_char_field(_zero_hamiltonian(1), X, _linear_init(), box)
+    stream = CharStream(_zero_hamiltonian(1), X, _linear_init(), box)
     pts = np.linspace(-0.8, 0.8, 9)[:, None]
-    sol = assemble_solution_field(field, pts)
+    sol = assemble_solution_field(stream, pts)
     rep = pde_residual(sol, _zero_hamiltonian(1), X, _linear_init(), levels=3)
     assert rep.converged
     assert rep.final_residual < 1e-10
 
 
 def test_pde_residual_transport_converges():
-    X, H, phi, field = _transport_field(n=2**9 + 1, counts=401)
+    X, H, phi, stream = _transport_field(n=2**9 + 1, counts=401)
     pts = np.linspace(-1.0, 1.0, 11)[:, None]
-    sol = assemble_solution_field(field, pts)
+    sol = assemble_solution_field(stream, pts)
     rep = pde_residual(sol, H, X, phi, levels=3)
     assert rep.converged
     assert rep.final_residual < rep.residuals[0]
 
 
 def test_pde_residual_needs_driver_grid():
-    X, H, phi, field = _transport_field(n=65)
+    X, H, phi, stream = _transport_field(n=65)
     pts = np.array([[0.0]])
-    sol = assemble_solution_field(field, pts, times=X.times[::2])
+    sol = assemble_solution_field(stream, pts, times=X.times[::2])
     with pytest.raises(PathError):
         pde_residual(sol, H, X, phi)
 
@@ -330,16 +342,15 @@ def test_pde_residual_all_folded_raises():
     Xn = _neg_line(2**7 + 1, horizon=1.5)
     Hb = get_hamiltonian("burgers-half-p-squared", dim=1)
     phi = get_initial_data("neg-half-square", dim=1)
-    field = build_char_field(Hb, Xn, phi,
-                             GridBox(lower=(-2.0,), upper=(2.0,), counts=(81,)))
-    sol = assemble_solution_field(field, np.array([[0.0], [0.4]]))
+    stream = CharStream(Hb, Xn, phi, GridBox(lower=(-2.0,), upper=(2.0,), counts=(81,)))
+    sol = assemble_solution_field(stream, np.array([[0.0], [0.4]]))
     with pytest.raises(CausticError):
         pde_residual(sol, Hb, Xn, phi)
 
 
 def test_inverse_flow_equation_transport_exact():
-    X, H, phi, field = _transport_field(n=257)
-    rep = verify_inverse_flow_equation(field, H, X, np.array([[0.2], [-0.4]]))
+    X, H, phi, stream = _transport_field(n=257)
+    rep = verify_inverse_flow_equation(stream, H, X, np.array([[0.2], [-0.4]]))
     assert rep.converged
     assert rep.final_residual < 1e-9
 
@@ -348,9 +359,8 @@ def test_inverse_flow_equation_quadratic_pre_caustic():
     Xn = _neg_line(2**9 + 1, horizon=0.8)
     Hb = get_hamiltonian("burgers-half-p-squared", dim=1)
     phi = get_initial_data("neg-half-square", dim=1)
-    field = build_char_field(Hb, Xn, phi,
-                             GridBox(lower=(-2.0,), upper=(2.0,), counts=(201,)))
-    rep = verify_inverse_flow_equation(field, Hb, Xn, np.array([[0.15], [-0.3]]))
+    stream = CharStream(Hb, Xn, phi, GridBox(lower=(-2.0,), upper=(2.0,), counts=(201,)))
+    rep = verify_inverse_flow_equation(stream, Hb, Xn, np.array([[0.15], [-0.3]]))
     assert rep.converged
     assert rep.final_residual < rep.residuals[0]
 
@@ -359,21 +369,19 @@ def test_inverse_flow_equation_rejects_folded_points():
     Xn = _neg_line(2**8 + 1, horizon=1.5)
     Hb = get_hamiltonian("burgers-half-p-squared", dim=1)
     phi = get_initial_data("neg-half-square", dim=1)
-    field = build_char_field(Hb, Xn, phi,
-                             GridBox(lower=(-2.0,), upper=(2.0,), counts=(101,)))
+    stream = CharStream(Hb, Xn, phi, GridBox(lower=(-2.0,), upper=(2.0,), counts=(101,)))
     # 0 sits at the fold center: its preimage never leaves the box, so the
     # fold itself is what kills the check
     with pytest.raises(CausticError):
-        verify_inverse_flow_equation(field, Hb, Xn, np.array([[0.0]]))
+        verify_inverse_flow_equation(stream, Hb, Xn, np.array([[0.0]]))
 
 
 def test_compatibility_identity():
     Xn = _neg_line(257, horizon=0.8)
     Hb = get_hamiltonian("burgers-half-p-squared", dim=1)
     phi = get_initial_data("neg-half-square", dim=1)
-    field = build_char_field(Hb, Xn, phi,
-                             GridBox(lower=(-2.0,), upper=(2.0,), counts=(201,)))
-    rep = verify_compatibility(field, tol=1e-3)
+    stream = CharStream(Hb, Xn, phi, GridBox(lower=(-2.0,), upper=(2.0,), counts=(201,)))
+    rep = verify_compatibility(stream, tol=1e-3)
     assert rep.passed
     assert rep.max_residual < 1e-10
     assert "time" in rep.details
@@ -388,9 +396,8 @@ def test_two_seed_resolutions_agree_pre_caustic():
     pts = np.linspace(-0.5, 0.5, 9)[:, None]
     us = []
     for counts in (201, 401):
-        field = build_char_field(Hb, Xn, phi,
-                                 GridBox(lower=(-2.0,), upper=(2.0,), counts=(counts,)))
-        u, _, valid = assemble_solution(field, 0.75, pts)
+        stream = CharStream(Hb, Xn, phi, GridBox(lower=(-2.0,), upper=(2.0,), counts=(counts,)))
+        u, _, valid = assemble_solution(stream, 0.75, pts)
         assert valid.all()
         us.append(u)
     assert np.max(np.abs(us[0] - us[1])) < 1e-4

@@ -10,6 +10,7 @@ including which preimage branch a warm-started slice follows past a fold.
 
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,16 +26,19 @@ from youngflow import (
     SampledPath,
     ScalarHamiltonian,
     CharStream,
+    SmoothMap,
+    SolveConfig,
     assemble_solution_field,
-    build_char_field,
     fold_times,
     gen_deterministic,
     gen_fbm,
     interp_nodal,
     pde_residual,
+    verify_compatibility,
 )
 from youngflow.paths import dyadic_prefix, dyadic_steps
 from youngflow.builtins import get_hamiltonian, get_initial_data
+from youngflow.yde import _euler_core
 
 # ------------------------------------------------------------- reference
 
@@ -107,19 +111,21 @@ def _ref_invert_batch(field, idx, targets, newton_tol, max_iter, x0=None):
     return x, ok, pre, inside
 
 
-def _ref_assemble(field, pts, newton_tol=1e-10, max_iter=50):
-    """The per-slice warm-started loop: (u, du, valid, sigma_proxy)."""
-    times = field.times
+def _ref_assemble(field, pts, newton_tol=1e-10, max_iter=50, rows=None):
+    """The per-slice warm-started loop over the grid rows (default all):
+    (u, du, valid, sigma_proxy)."""
+    rows = list(range(field.times.size) if rows is None else rows)
+    times = field.times[rows]
     k = pts.shape[0]
     u = np.empty((times.size, k))
     du = np.empty((times.size, k, field.box.dim))
     valid = np.empty((times.size, k), dtype=bool)
     x_prev = None
-    for r in range(times.size):
-        x, ok, pre, inside = _ref_invert_batch(field, r, pts, newton_tol, max_iter, x0=x_prev)
+    for r, i in enumerate(rows):
+        x, ok, pre, inside = _ref_invert_batch(field, i, pts, newton_tol, max_iter, x0=x_prev)
         v = ok & pre & inside
-        u[r] = _ref_interp_nodal(field.box, field.B[r], x)
-        du[r] = _ref_interp_nodal(field.box, field.C[r], x)
+        u[r] = _ref_interp_nodal(field.box, field.B[i], x)
+        du[r] = _ref_interp_nodal(field.box, field.C[i], x)
         u[r, ~v] = np.nan
         du[r, ~v] = np.nan
         valid[r] = v
@@ -222,6 +228,26 @@ def _same(a, b):
     return np.array_equal(a, b, equal_nan=True)
 
 
+def _history(H, X, phi, box, substeps=1):
+    """Every row of a CharStream, kept for the references and checks that
+    read whole histories: A, B, C, jac, det (n, m, ...) and the stream's
+    final fold and blow-up state."""
+    stream = CharStream(H, X, phi, box, substeps)
+    rows = [(row.a.copy(), row.b.copy(), row.c.copy(), row.jac.copy()) for row in stream]
+    A, B, C, jac = (np.stack(v) for v in zip(*rows))
+    return SimpleNamespace(box=box, seeds=stream.seeds, times=stream.times, A=A, B=B, C=C,
+                           jac=jac, det=np.linalg.det(jac), tau=stream.tau,
+                           folded=stream.folded, alive_until=stream.alive_until)
+
+
+def _fold_scan(times, blocks):
+    """(tau, folded) of pde._FoldScan fed the consecutive det row blocks."""
+    scan = pde._FoldScan(times)
+    for block in blocks:
+        scan.feed(block)
+    return scan.tau, scan.folded
+
+
 def _short_line(n):
     return gen_deterministic(DeterministicSpec(kind="linear", n_points=n, horizon=1.0))
 
@@ -261,20 +287,20 @@ def test_grid_box_axes_are_cached_and_read_only():
 # -------------------------------------------------------------- assembly
 
 
-def _folding_burgers_field():
+def _folding_burgers():
     # Burgers with sin data folds once |X| grows past 1: 42 of 113 seeds
     # fold and 215 of 257 slices lose some evaluation points
     X = gen_fbm(FbmSpec(hurst=0.8, n_points=257, seed=3))
     X = SampledPath(X.times, 1.5 * X.values)
     H = get_hamiltonian("burgers-half-p-squared", 1)
     phi = get_initial_data("sin", 1)
-    return build_char_field(H, X, phi, GridBox((-3.0,), (3.0,), (113,)))
+    return H, X, phi, GridBox((-3.0,), (3.0,), (113,))
 
 
 def test_folding_burgers_matches_reference_loop():
-    field = _folding_burgers_field()
+    field = _history(*_folding_burgers())
     pts = np.linspace(-2.5, 2.5, 21)[:, None]
-    sol = assemble_solution_field(field, pts)
+    sol = assemble_solution_field(CharStream(*_folding_burgers()), pts)
     u, du, valid, sigma = _ref_assemble(field, pts)
     assert field.folded.sum() == 42
     assert 0.8 < valid.mean() < 0.9  # the case really folds
@@ -288,9 +314,10 @@ def test_two_d_transport_field_closed_form_and_reference():
     X = gen_fbm(FbmSpec(hurst=0.8, n_points=129, seed=4))
     H = get_hamiltonian("transport-k", 2, {"k": 0.7})
     phi = get_initial_data("sin", 2)
-    field = build_char_field(H, X, phi, GridBox((-3.0, -3.0), (3.0, 3.0), (121, 13)))
+    box = GridBox((-3.0, -3.0), (3.0, 3.0), (121, 13))
+    field = _history(H, X, phi, box)
     pts = GridBox((-1.0, -1.0), (1.0, 1.0), (5, 4)).points()
-    sol = assemble_solution_field(field, pts)
+    sol = assemble_solution_field(CharStream(H, X, phi, box), pts)
     assert sol.valid.all()
     dx = X.values[:, 0] - X.values[0, 0]
     target = np.sin(pts[None, :, 0] + 0.7 * dx[:, None])
@@ -302,14 +329,13 @@ def test_two_d_transport_field_closed_form_and_reference():
 
 
 def test_invert_rejects_targets_of_the_wrong_width():
-    field = build_char_field(get_hamiltonian("transport-k", 2), _short_line(5),
-                             get_initial_data("sin", 2),
-                             GridBox((-2.0, -2.0), (2.0, 2.0), (9, 9)))
+    stream = CharStream(get_hamiltonian("transport-k", 2), _short_line(5),
+                        get_initial_data("sin", 2), GridBox((-2.0, -2.0), (2.0, 2.0), (9, 9)))
     with pytest.raises(PathError):
-        pde._invert_batch(field.box, field.seeds, field.row(2),
+        pde._invert_batch(stream.box, stream.seeds, next(stream.rows([2])),
                           np.linspace(-1.0, 1.0, 5)[:, None], 1e-10, 50)
     with pytest.raises(PathError):
-        assemble_solution_field(field, np.zeros((3, 3)))
+        assemble_solution_field(stream, np.zeros((3, 3)))
 
 
 # ----------------------------------------------------- nearest-seed search
@@ -317,11 +343,12 @@ def test_invert_rejects_targets_of_the_wrong_width():
 
 def test_chunked_nearest_search_gives_the_same_preimages(monkeypatch):
     X = gen_fbm(FbmSpec(hurst=0.8, n_points=33, seed=2))
-    field = build_char_field(get_hamiltonian("burgers-half-p-squared", 2), X,
-                             get_initial_data("gauss", 2),
-                             GridBox((-2.0, -2.0), (2.0, 2.0), (31, 29)))
+    args = (get_hamiltonian("burgers-half-p-squared", 2), X, get_initial_data("gauss", 2),
+            GridBox((-2.0, -2.0), (2.0, 2.0), (31, 29)))
+    field = _history(*args)
+    row = next(CharStream(*args).rows([20]))  # the fold state as far as the stream knows it
     targets = np.random.default_rng(5).uniform(-1.5, 1.5, (57, 2))
-    whole = pde._invert_batch(field.box, field.seeds, field.row(20), targets, 1e-10, 50)
+    whole = pde._invert_batch(field.box, field.seeds, row, targets, 1e-10, 50)
     ref = _ref_invert_batch(field, 20, targets, 1e-10, 50)
     assert np.array_equal(whole[0], ref[0])
     for k in (2, 3):
@@ -329,7 +356,7 @@ def test_chunked_nearest_search_gives_the_same_preimages(monkeypatch):
     one_row = field.A[20].nbytes
     for budget in (1, one_row, 7 * one_row + 1):
         monkeypatch.setattr(pde, "_NEAREST_CHUNK_BYTES", budget)
-        got = pde._invert_batch(field.box, field.seeds, field.row(20), targets, 1e-10, 50)
+        got = pde._invert_batch(field.box, field.seeds, row, targets, 1e-10, 50)
         assert np.array_equal(got[0], whole[0])
         assert all(np.array_equal(g, w) for g, w in zip(got[2:], whole[2:]))
 
@@ -337,12 +364,12 @@ def test_chunked_nearest_search_gives_the_same_preimages(monkeypatch):
 def test_cold_start_on_a_large_3d_box_stays_small():
     # 41^3 seeds against 11^3 targets: one dense (k, m, d) block is 2.2 GB
     H = get_hamiltonian("transport-k", 3, {"k": 0.7})
-    field = build_char_field(H, _short_line(3), get_initial_data("sin", 3),
-                             GridBox((-2.0,) * 3, (2.0,) * 3, (41,) * 3))
+    stream = CharStream(H, _short_line(3), get_initial_data("sin", 3),
+                        GridBox((-2.0,) * 3, (2.0,) * 3, (41,) * 3))
     pts = GridBox((-1.0,) * 3, (1.0,) * 3, (11,) * 3).points()
     tracemalloc.start()
     try:
-        sol = assemble_solution_field(field, pts)
+        sol = assemble_solution_field(stream, pts)  # the sweep's memory counts too
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -365,7 +392,7 @@ def test_first_zero_crossing_matches_reference_loop():
     ]
     rng = np.random.default_rng(9)
     det = np.column_stack(cols + [rng.normal(0.3, 1.0, 9) for _ in range(40)])
-    tau, folded = pde._first_zero_crossing(times, det)
+    tau, folded = _fold_scan(times, [det])
     ref_tau, ref_folded = _ref_first_zero_crossing(times, det)
     assert np.array_equal(tau, ref_tau) and np.array_equal(folded, ref_folded)
     assert folded[:6].tolist() == [True, False, True, True, True, True]
@@ -378,11 +405,15 @@ def test_char_core_blow_up_matches_reference():
     X = _short_line(65)
     seeds = np.linspace(0.0, 4.0, 9)[:, None]
     u0 = np.linspace(0.0, 40.0, 9)
-    got = pde._char_core(H, X, seeds, u0, seeds.copy())
+    phi = SmoothMap(in_dim=1, out_dim=1, value=lambda x: 10.0 * x,  # u0 and p0 = seeds
+                    jacobian=lambda x: x[..., None])
+    got = _history(H, X, phi, GridBox((0.0,), (4.0,), (9,)))
+    assert np.array_equal(got.seeds, seeds)
     ref = _ref_char_core(H, X, seeds, u0, seeds.copy())
-    assert 0 < np.sum(got[3] < X.n_points - 1) < 9  # some seeds die, some live
-    for g, r in zip(got, ref):
+    assert 0 < np.sum(got.alive_until < X.times[-1]) < 9  # some seeds die, some live
+    for g, r in zip((got.A, got.B, got.C), ref):
         assert np.array_equal(g, r)
+    assert np.array_equal(got.alive_until, X.times[ref[3]])
 
 
 def test_fd_partials_match_the_former_fd_vec():
@@ -438,7 +469,7 @@ def _fold_cases():
 @pytest.mark.parametrize("case", list(_fold_cases()))
 def test_streamed_fold_scan_matches_char_field_bitwise(case, monkeypatch):
     H, X, phi, box, substeps = _fold_cases()[case]
-    field = build_char_field(H, X, phi, box, substeps=substeps)
+    field = _history(H, X, phi, box, substeps)
     if case not in ("transport-3d", "blow-up"):
         assert 0 < field.folded.sum() < box.n_points  # the case really folds
     if case.startswith("blow-up"):
@@ -450,7 +481,7 @@ def test_streamed_fold_scan_matches_char_field_bitwise(case, monkeypatch):
         monkeypatch.setattr(pde, "_FOLD_BLOCK_ROWS", rows)
         tau, folded = fold_times(H, X, phi, box, substeps=substeps)
         assert _same(tau, field.tau) and np.array_equal(folded, field.folded)
-        blocked = build_char_field(H, X, phi, box, substeps=substeps)
+        blocked = _history(H, X, phi, box, substeps)
         assert np.array_equal(blocked.jac, field.jac, equal_nan=True)
         assert _same(blocked.tau, field.tau) and np.array_equal(blocked.folded, field.folded)
 
@@ -468,9 +499,11 @@ def test_a_non_finite_seed_jacobian_stops_the_stream(rows, monkeypatch):
         with pytest.raises(BlowUpError) as info:
             fold_times(H, X, phi, box, substeps=2)
     first_bad = np.searchsorted(X.times, info.value.last_valid_time) + 1
-    field = pde._char_core(H, X, *pde._seed_data(H, phi, box), 2)
+    x, u, p = pde._seed_data(H, phi, box)
+    (Y,), _ = _euler_core(pde._char_field(H), X, np.column_stack([x, u, p]), SolveConfig(2),
+                          False)
     with np.errstate(over="ignore", invalid="ignore"):
-        jac = pde._seed_jacobian(box, field[0])
+        jac = pde._seed_jacobian(box, Y[..., :1])
     finite = np.isfinite(jac).reshape(X.n_points, -1).all(axis=1)
     assert finite[:first_bad].all() and not finite[first_bad]
 
@@ -483,11 +516,11 @@ def test_fold_scan_in_blocks_matches_the_whole_array():
          [0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
          [1.0, np.nan, 1.0, 0.5, -0.5, 1.0, 1.0, 1.0, 1.0]]
         + [rng.normal(0.3, 1.0, 9) for _ in range(40)])
-    whole = pde._first_zero_crossing(times, det)
+    whole = _fold_scan(times, [det])
     assert whole[1][0] and times[3] < whole[0][0] < times[4]
     for rows in range(1, 10):  # rows = 4 puts column 0's crossing on a block boundary
         blocks = (det[s:s + rows] for s in range(0, det.shape[0], rows))
-        got = pde._first_zero_crossing(times, blocks)
+        got = _fold_scan(times, blocks)
         assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
 
 
@@ -500,7 +533,7 @@ def test_fold_crossing_on_a_block_boundary(monkeypatch):
     H = get_hamiltonian("burgers-half-p-squared", 1)
     phi = get_initial_data("neg-half-square", 1)
     box = GridBox((-2.0,), (2.0,), (41,))
-    field = build_char_field(H, X, phi, box)
+    field = _history(H, X, phi, box)
     first = np.argmax(field.det[:, 5] <= 0)
     assert first == 86 and field.folded.all()
     monkeypatch.setattr(pde, "_FOLD_BLOCK_ROWS", 43)
@@ -525,6 +558,24 @@ def test_fold_times_memory_does_not_grow_with_the_driver():
     assert abs(peaks[1] - peaks[0]) < 2**20
 
 
+def test_compatibility_check_memory_does_not_grow_with_the_driver():
+    H = get_hamiltonian("burgers-half-p-squared", 1)
+    phi = get_initial_data("sin", 1)
+    box = GridBox((-3.0,), (3.0,), (401,))
+    peaks = []
+    for n in (2049, 8193):
+        X = gen_fbm(FbmSpec(hurst=0.8, n_points=n, seed=6))
+        tracemalloc.start()
+        try:
+            rep = verify_compatibility(CharStream(H, X, phi, box))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(rep.max_residual) and rep.details["time"] > 0.0
+    # the (n, m) residual table alone would be 26 MB at 8193 steps
+    assert abs(peaks[1] - peaks[0]) < 2**20
+
+
 # ------------------------------------------------------------ row stream
 
 
@@ -533,7 +584,7 @@ def test_driver_width_must_match_the_component_count():
     wide = SampledPath(X.times, np.column_stack([X.values, -X.values]))
     args = (get_hamiltonian("burgers-half-p-squared", 1), wide, get_initial_data("sin", 1),
             GridBox((-2.0,), (2.0,), (21,)))
-    for build in (build_char_field, fold_times, CharStream):
+    for build in (fold_times, CharStream):
         with pytest.raises(PathError, match="component count"):
             build(*args)
 
@@ -548,12 +599,16 @@ def _eval_points(box):
 @pytest.mark.parametrize("case", list(_fold_cases()))
 def test_stream_assembly_matches_char_field_bitwise(case, monkeypatch):
     H, X, phi, box, substeps = _fold_cases()[case]
-    field = build_char_field(H, X, phi, box, substeps=substeps)
+    field = _history(H, X, phi, box, substeps)
     pts = _eval_points(box)
-    slices = X.times[np.r_[0:X.n_points:7, 5, 5, -1]]  # sorted below, with a repeat
-    slices.sort()
-    want = {key: assemble_solution_field(field, pts, times)
-            for key, times in (("all", None), ("slices", slices))}
+    picked = np.r_[0:X.n_points:7, 5, 5, X.n_points - 1]  # sorted below, with a repeat
+    picked.sort()
+    slices = X.times[picked]
+    want = {}
+    for key, idx in (("all", None), ("slices", picked)):
+        u, du, valid, sigma = _ref_assemble(field, pts, rows=idx)
+        want[key] = SimpleNamespace(u=u, du=du, valid=valid, sigma_proxy=sigma,
+                                    tau_map=field.tau)
     if field.folded.any():
         assert 0 < want["all"].valid.mean() < 1  # some slices are past the fold
     for rows in (64, 1, 2, 3):
@@ -600,18 +655,20 @@ def test_a_crossing_that_rounds_to_t_idx_blocks_slice_idx(monkeypatch):
     for rows in (1, 5, 25, 41):  # each divides idx + 1 = 1025: row idx closes a block
         monkeypatch.setattr(pde, "_FOLD_BLOCK_ROWS", rows)
         seen[0] = 0
-        field = build_char_field(H, X, phi, box)
+        field = _history(H, X, phi, box)
         assert (field.tau == X.times[idx]).all() and field.folded.all()
-        _, _, ok, pre, _ = pde._invert_batch(box, field.seeds, field.row(idx), pts, 1e-10, 50)
+        seen[0] = 0
+        row = next(CharStream(H, X, phi, box).rows([idx]))
+        _, _, ok, pre, _ = pde._invert_batch(box, field.seeds, row, pts, 1e-10, 50)
         assert ok.all() and not pre.any()
-        stored = assemble_solution_field(field, pts, times)
+        u, du, valid, sigma = _ref_assemble(field, pts, rows=range(idx - 1, idx + 2))
         seen[0] = 0
         streamed = assemble_solution_field(CharStream(H, X, phi, box), pts, times)
-        for sol in (stored, streamed):
+        for sol in (SimpleNamespace(valid=valid, sigma_proxy=sigma), streamed):
             assert sol.valid.tolist() == [[True] * 5, [False] * 5, [False] * 5]
             assert np.array_equal(sol.sigma_proxy, np.full(5, 0.5))
-        for name in ("u", "du", "tau_map"):
-            assert _same(getattr(streamed, name), getattr(stored, name))
+        for got, ref in ((streamed.u, u), (streamed.du, du), (streamed.tau_map, field.tau)):
+            assert _same(got, ref)
 
 
 def test_streamed_solve_and_residual_memory_grows_only_with_the_outputs():
@@ -649,14 +706,12 @@ def _residual_cases():
         transport.components[0], get_hamiltonian("burgers-half-p-squared", 1).components[0]))
     X2 = SampledPath(X2.times, np.column_stack([X2.values, 0.3 * X.values[:129]]))
     cut = gen_fbm(FbmSpec(hurst=0.8, n_points=1024, seed=7))  # 1023 intervals: a prefix
-    fold = _folding_burgers_field()
+    fold = _folding_burgers()
     return {
-        "transport": (transport, X, sin, build_char_field(transport, X, sin, box)),
-        "two-drivers": (two, X2, sin, build_char_field(two, X2, sin, box)),
-        "prefix": (transport, cut, sin, build_char_field(transport, cut, sin, box)),
-        "folding": (get_hamiltonian("burgers-half-p-squared", 1), SampledPath(
-            fold.times, 1.5 * gen_fbm(FbmSpec(hurst=0.8, n_points=257, seed=3)).values),
-            sin, fold),
+        "transport": (transport, X, sin, CharStream(transport, X, sin, box)),
+        "two-drivers": (two, X2, sin, CharStream(two, X2, sin, box)),
+        "prefix": (transport, cut, sin, CharStream(transport, cut, sin, box)),
+        "folding": (*fold[:3], CharStream(*fold)),
     }
 
 
@@ -695,5 +750,6 @@ def test_large_seed_boxes_get_fewer_rows_per_block():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20
-    field = build_char_field(H, X, phi, box)
-    assert _same(tau, field.tau) and np.array_equal(folded, field.folded)
+    det = np.stack([np.linalg.det(row.jac) for row in CharStream(H, X, phi, box)])
+    ref_tau, ref_folded = _ref_first_zero_crossing(X.times, det)
+    assert _same(tau, ref_tau) and np.array_equal(folded, ref_folded)

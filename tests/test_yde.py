@@ -204,6 +204,14 @@ def test_invert_flow_failure_raises():
     assert info.value.best_residual > 0
 
 
+def test_invert_flow_refuses_a_flow_without_jacobian_history():
+    X = _line(17)
+    flow = solve_flow(get_field("scaling", dim=1), X, [[1.0], [2.0]], jacobian_history=False)
+    assert flow.jacobians is None
+    with pytest.raises(PathError, match="jacobian_history=True"):
+        invert_flow(flow, 1.0, [1.5])
+
+
 def test_self_convergence_under_dyadic_refinement():
     X = gen_fbm(FbmSpec(hurst=0.8, n_points=2**12 + 1, seed=3))
     field = get_field("square", dim=1)

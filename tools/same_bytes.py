@@ -1,0 +1,130 @@
+"""Check that two commits give the same outputs on every benchmark call.
+
+    python3 tools/same_bytes.py --parent REV --change REV --seeds 1 5 77 \
+        --workdir DIR
+
+Both revisions are extracted with bench_pairs.py's `extract` into DIR
+(outside the checkout under test). For each seed, every workload of
+bench/workloads.py makes its inputs once, and each tree runs every call
+of the workload as a CLI call from its own `src/`. Three extra `pde`
+calls run as well: a folding `solve` with two substeps, a 2-d `caustic`
+and a 2-d `residual`. The output files are compared with bench/run.py's
+`snapshot` (JSON up to `meta.created`, anything else byte for byte), and
+each call's exit code, standard output and standard error are compared
+with the tree's path masked. Prints one line per difference and exits 1
+if there is any, keeping the outputs under DIR.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "bench"))
+
+import inputs  # noqa: E402
+from bench_pairs import extract, git  # noqa: E402
+from run import snapshot  # noqa: E402
+from workloads import WORKLOADS, Workload  # noqa: E402
+
+
+def pde_extra(seed: int, indir: Path) -> Workload:
+    """A folding solve with substeps, and a caustic and a residual in 2-d."""
+    rng = np.random.default_rng([seed, 4])
+    fold, plane = indir / "fold.csv", indir / "plane.csv"
+    times, vals = inputs.fbm(257, 0.8, rng)
+    inputs.write_path(fold, times, 1.5 * vals)
+    inputs.write_path(plane, *inputs.fbm(129, 0.8, rng))
+    calls = (
+        ["pde", "solve", "--hamiltonian", "burgers-half-p-squared", "--init", "sin",
+         "--driver", str(fold), "--box=-3:3:113", "--eval=-2.5:2.5:21", "--slices", "33",
+         "--substeps", "2", "-o", "fold_solution"],
+        ["pde", "caustic", "--hamiltonian", "burgers-half-p-squared", "--init", "gauss",
+         "--dim", "2", "--driver", str(plane), "--box=-2:2:21;-2:2:19", "-o", "caustic2.json"],
+        ["pde", "residual", "--hamiltonian", "transport-k", "--params", "k=0.7",
+         "--init", "sin", "--dim", "2", "--driver", str(plane), "--box=-4:4:81;-4:4:21",
+         "--eval=-1:1:5;-1:1:4", "--levels", "3", "-o", "residual2.json"],
+    )
+    return Workload("pde_extra", calls, lambda out: [])
+
+
+def run_calls(tree: Path, calls, outdir: Path) -> list:
+    """(exit code, stdout, stderr) of each call, the tree's path masked."""
+    outdir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    results = []
+    for call in calls:
+        proc = subprocess.run([sys.executable, "-m", "youngflow.cli", *call], cwd=outdir,
+                              env=env, capture_output=True, text=True)
+        results.append((proc.returncode,
+                        *(s.replace(str(tree), "<tree>") for s in (proc.stdout, proc.stderr))))
+    return results
+
+
+def compare(name: str, calls, parent: tuple, change: tuple) -> list:
+    """Lines naming each difference between the two sides' (results, snapshot)."""
+    problems = []
+    for call, p, c in zip(calls, parent[0], change[0]):
+        for what, a, b in zip(("exit code", "stdout", "stderr"), p, c):
+            if a != b:
+                problems.append(f"{name}: {what} differs for {' '.join(call[:2])}: "
+                                f"{a!r} against {b!r}")
+    snaps = parent[1], change[1]
+    for f in sorted(set(snaps[0]) | set(snaps[1])):
+        if snaps[0].get(f) != snaps[1].get(f):
+            problems.append(f"{name}: output {f} differs")
+    return problems
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent")
+    ap.add_argument("--change", required=True, help="git revision of the change")
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--workdir", type=Path, required=True)
+    args = ap.parse_args(argv)
+
+    trees = {}
+    for side, rev in (("parent", args.parent), ("change", args.change)):
+        sha = git("rev-parse", f"{rev}^{{commit}}")
+        trees[side] = args.workdir / sha[:12]
+        if not (trees[side] / "src").exists():
+            extract(sha, trees[side])
+    builders = {**WORKLOADS, "pde_extra": pde_extra}
+    runs = Path(tempfile.mkdtemp(prefix="same-bytes-", dir=args.workdir))
+    problems = []
+    for seed in args.seeds:
+        for wname, build in builders.items():
+            name = f"{wname} seed {seed}"
+            run_dir = runs / f"{wname}-{seed}"
+            indir = run_dir / "in"
+            indir.mkdir(parents=True)
+            wl = build(seed, indir)
+            sides = {}
+            for side, tree in trees.items():
+                outdir = run_dir / side
+                sides[side] = (run_calls(tree, wl.calls, outdir), snapshot(outdir))
+            found = compare(name, wl.calls, sides["parent"], sides["change"])
+            n_files = len(sides["parent"][1])
+            print(f"{name}: {len(wl.calls)} calls, {n_files} files, "
+                  + (f"{len(found)} differences" if found else "same"), file=sys.stderr)
+            problems += found
+    for line in problems:
+        print(line)
+    if problems:
+        print(f"outputs kept in {runs}", file=sys.stderr)
+        return 1
+    shutil.rmtree(runs)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
