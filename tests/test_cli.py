@@ -512,7 +512,7 @@ def test_pde_caustic_equals_char_field_payload(capsys, negline_csv, init, subste
         youngflow.builtins.get_hamiltonian("burgers-half-p-squared", dim),
         read_path_csv(negline_csv), youngflow.builtins.get_initial_data(init, dim),
         grid, substeps=int(substeps))
-    for _ in stream:  # every row, as a solve would read them
+    for _ in stream:  # run to its end: tau and folded are final
         pass
     want = {
         "tau_map": jsonable_times(stream.tau.reshape(grid.counts)),

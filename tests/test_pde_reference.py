@@ -201,6 +201,18 @@ def _ref_char_core(H, X, A0, B0, C0):
     return A, B, C, alive_idx
 
 
+def _ref_compatibility(field):
+    """(max residual, seed index, time index) of D_x b - c . D_x a over the
+    whole (n, m) table, first maximum as np.argmax takes it."""
+    n, box = field.times.size, field.box
+    db = np.stack([np.gradient(field.B.reshape((n,) + box.counts), ax, axis=1 + k,
+                               edge_order=2 if ax.size >= 3 else 1)
+                   for k, ax in enumerate(_ref_axes(box))], axis=-1).reshape(n, -1, box.dim)
+    resid = np.linalg.norm(db - np.einsum("nme,nmei->nmi", field.C, field.jac), axis=2)
+    ti, si = np.unravel_index(int(np.argmax(resid)), resid.shape)
+    return resid[ti, si], si, ti
+
+
 def _ref_pde_residual_rows(sol, H, X, phi, levels):
     """The (mesh, residual, scale) rows of the ladder from whole-grid tables."""
     X = dyadic_prefix(X, levels)
@@ -556,6 +568,17 @@ def test_fold_times_memory_does_not_grow_with_the_driver():
             tracemalloc.stop()
     # the history of one of A, B, C at 8193 steps alone would be 26 MB
     assert abs(peaks[1] - peaks[0]) < 2**20
+
+
+@pytest.mark.parametrize("case", ["burgers-1d", "burgers-2d", "blow-up-moving"])
+def test_compatibility_check_matches_whole_table_reference(case):
+    H, X, phi, box, substeps = _fold_cases()[case]
+    field = _history(H, X, phi, box, substeps)
+    with np.errstate(over="ignore"):  # frozen seeds next to live ones: the residual is inf
+        worst, si, ti = _ref_compatibility(field)
+        rep = verify_compatibility(CharStream(H, X, phi, box, substeps), tol=1e-3)
+    assert rep.max_residual == worst and rep.passed == (worst <= 1e-3)
+    assert rep.arg_max_point == tuple(field.seeds[si]) and rep.details["time"] == X.times[ti]
 
 
 def test_compatibility_check_memory_does_not_grow_with_the_driver():
