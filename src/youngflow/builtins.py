@@ -16,7 +16,7 @@ from .fields import (FieldSpec, PointMap, ScalarObservable, SmoothMap,
 from .pde import HamiltonianSpec, ScalarHamiltonian
 
 
-class UnknownBuiltin(KeyError):
+class UnknownBuiltin(LookupError):
     pass
 
 

@@ -231,6 +231,20 @@ def test_unknown_builtin_parameter_exits_two(capsys, workdir, lin17_csv, argv, a
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["solve", "--field", "nosuch", "--dim", "1", "--y0", "1", "--driver", "LIN", "-o", "OUT"],
+     "error: unknown field 'nosuch'; known: exp, rotation, scaling, square\n"),
+    (["solve", "--field", "scaling", "--dim", "1", "--params", "foo=1", "--y0", "1",
+      "--driver", "LIN", "-o", "OUT"],
+     "error: field 'scaling' takes no parameter 'foo'; accepted: none\n"),
+], ids=["unknown-field", "unknown-parameter"])
+def test_unknown_builtin_message_prints_unquoted(capsys, workdir, lin17_csv, argv, line):
+    out = str(workdir / "never_written")
+    rc = main([lin17_csv if a == "LIN" else out if a == "OUT" else a for a in argv])
+    assert rc == 2
+    assert capsys.readouterr().err == line
+
+
 def test_missing_file_exits_two(capsys):
     rc = main(["pvar", "--p", "1.5", "--path", "/nonexistent/path.csv"])
     capsys.readouterr()

@@ -3,13 +3,14 @@
 The reference below is the plain per-slice loop: one interpolation call
 per nodal array, each doing its own cell search, a separate corner
 lookup for the fold test, a dense nearest-seed search, and a per-column
-fold-time loop. The library shares one cell lookup per Newton iterate
-and vectorises the rest; these tests pin that it computes the same bits,
-including which preimage branch a warm-started slice follows past a fold.
+fold-time loop. The library inverts a block of rows in one Newton, shares
+one cell lookup per Newton iterate and vectorises the rest; these tests
+pin that it computes the same bits, whatever the block size.
 """
 
 import itertools
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -80,15 +81,12 @@ def _ref_cell_corners(box, x):
     return np.stack(corners, axis=-1)
 
 
-def _ref_invert_batch(field, idx, targets, newton_tol, max_iter, x0=None):
+def _ref_invert_batch(field, idx, targets, newton_tol, max_iter):
     Y = np.atleast_2d(np.asarray(targets, dtype=float))
     A = field.A[idx]
     J = field.jac[idx]
-    if x0 is None:
-        d2 = np.linalg.norm(A[None, :, :] - Y[:, None, :], axis=2)
-        x = field.seeds[np.argmin(d2, axis=1)].copy()
-    else:
-        x = np.array(x0, dtype=float)
+    d2 = np.linalg.norm(A[None, :, :] - Y[:, None, :], axis=2)
+    x = field.seeds[np.argmin(d2, axis=1)].copy()
     r = _ref_interp_nodal(field.box, A, x) - Y
     for _ in range(max_iter):
         nrm = np.linalg.norm(r, axis=1)
@@ -112,24 +110,22 @@ def _ref_invert_batch(field, idx, targets, newton_tol, max_iter, x0=None):
 
 
 def _ref_assemble(field, pts, newton_tol=1e-10, max_iter=50, rows=None):
-    """The per-slice warm-started loop over the grid rows (default all):
-    (u, du, valid, sigma_proxy)."""
+    """The per-slice loop over the grid rows (default all), each slice
+    cold-started from its nearest seed: (u, du, valid, sigma_proxy)."""
     rows = list(range(field.times.size) if rows is None else rows)
     times = field.times[rows]
     k = pts.shape[0]
     u = np.empty((times.size, k))
     du = np.empty((times.size, k, field.box.dim))
     valid = np.empty((times.size, k), dtype=bool)
-    x_prev = None
     for r, i in enumerate(rows):
-        x, ok, pre, inside = _ref_invert_batch(field, i, pts, newton_tol, max_iter, x0=x_prev)
+        x, ok, pre, inside = _ref_invert_batch(field, i, pts, newton_tol, max_iter)
         v = ok & pre & inside
         u[r] = _ref_interp_nodal(field.box, field.B[i], x)
         du[r] = _ref_interp_nodal(field.box, field.C[i], x)
         u[r, ~v] = np.nan
         du[r, ~v] = np.nan
         valid[r] = v
-        x_prev = np.where(v[:, None], x, pts)
     sigma = np.full(k, np.inf)
     for j in range(k):
         bad = np.nonzero(~valid[:, j])[0]
@@ -344,8 +340,8 @@ def test_invert_rejects_targets_of_the_wrong_width():
     stream = CharStream(get_hamiltonian("transport-k", 2), _short_line(5),
                         get_initial_data("sin", 2), GridBox((-2.0, -2.0), (2.0, 2.0), (9, 9)))
     with pytest.raises(PathError):
-        pde._invert_batch(stream.box, stream.seeds, next(stream.rows([2])),
-                          np.linspace(-1.0, 1.0, 5)[:, None], 1e-10, 50)
+        pde._invert_batch(stream, *next(stream.blocks([2])), np.linspace(-1.0, 1.0, 5)[:, None],
+                          1e-10, 50)
     with pytest.raises(PathError):
         assemble_solution_field(stream, np.zeros((3, 3)))
 
@@ -358,35 +354,43 @@ def test_chunked_nearest_search_gives_the_same_preimages(monkeypatch):
     args = (get_hamiltonian("burgers-half-p-squared", 2), X, get_initial_data("gauss", 2),
             GridBox((-2.0, -2.0), (2.0, 2.0), (31, 29)))
     field = _history(*args)
-    row = next(CharStream(*args).rows([20]))  # the fold state as far as the stream knows it
+    picked = [18, 20, 20]  # one Newton over three rows of a block, a repeat included
+    stream = CharStream(*args)
+    block = next(stream.blocks(picked))  # the fold state as far as the stream knows it
     targets = np.random.default_rng(5).uniform(-1.5, 1.5, (57, 2))
-    whole = pde._invert_batch(field.box, field.seeds, row, targets, 1e-10, 50)
-    ref = _ref_invert_batch(field, 20, targets, 1e-10, 50)
-    assert np.array_equal(whole[0], ref[0])
-    for k in (2, 3):
-        assert np.array_equal(whole[k], ref[k - 1])
+    whole = pde._invert_batch(stream, *block, targets, 1e-10, 50)
+    for r, i in enumerate(picked):
+        ref = _ref_invert_batch(field, i, targets, 1e-10, 50)
+        part = slice(57 * r, 57 * (r + 1))
+        assert np.array_equal(whole[0][part], ref[0])
+        for k in (2, 3):
+            assert np.array_equal(whole[k][part], ref[k - 1])
     one_row = field.A[20].nbytes
-    for budget in (1, one_row, 7 * one_row + 1):
+    for budget in (1, one_row, 7 * one_row + 1, 100 * one_row):  # 7 and 100 span rows
         monkeypatch.setattr(pde, "_NEAREST_CHUNK_BYTES", budget)
-        got = pde._invert_batch(field.box, field.seeds, row, targets, 1e-10, 50)
+        got = pde._invert_batch(stream, *block, targets, 1e-10, 50)
         assert np.array_equal(got[0], whole[0])
         assert all(np.array_equal(g, w) for g, w in zip(got[2:], whole[2:]))
 
 
 def test_cold_start_on_a_large_3d_box_stays_small():
-    # 41^3 seeds against 11^3 targets: one dense (k, m, d) block is 2.2 GB
+    # 41^3 seeds against 11^3 targets: one dense (k, m, d) block is 2.2 GB,
+    # and a block holds one row. 15^3 seeds against 7^3 targets over 39
+    # points: the second block is full at 19 rows, and (19 k, m, d) is 0.5 GB.
     H = get_hamiltonian("transport-k", 3, {"k": 0.7})
-    stream = CharStream(H, _short_line(3), get_initial_data("sin", 3),
-                        GridBox((-2.0,) * 3, (2.0,) * 3, (41,) * 3))
-    pts = GridBox((-1.0,) * 3, (1.0,) * 3, (11,) * 3).points()
-    tracemalloc.start()
-    try:
-        sol = assemble_solution_field(stream, pts)  # the sweep's memory counts too
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sol.valid.all()
-    assert peak < 64 * 2**20
+    for seeds, targets, n_points, full in ((41, 11, 3, 1), (15, 7, 39, 19)):
+        args = (H, _short_line(n_points), get_initial_data("sin", 3),
+                GridBox((-2.0,) * 3, (2.0,) * 3, (seeds,) * 3))
+        assert full in [rows.size for _, rows in CharStream(*args).blocks()]
+        pts = GridBox((-1.0,) * 3, (1.0,) * 3, (targets,) * 3).points()
+        tracemalloc.start()
+        try:
+            sol = assemble_solution_field(CharStream(*args), pts)  # the sweep's memory counts too
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.valid.all()
+        assert peak < 64 * 2**20, seeds
 
 
 # ---------------------------------------------------- characteristic core
@@ -576,6 +580,8 @@ def test_compatibility_check_matches_whole_table_reference(case):
     field = _history(H, X, phi, box, substeps)
     with np.errstate(over="ignore"):  # frozen seeds next to live ones: the residual is inf
         worst, si, ti = _ref_compatibility(field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the library computes it without a warning
         rep = verify_compatibility(CharStream(H, X, phi, box, substeps), tol=1e-3)
     assert rep.max_residual == worst and rep.passed == (worst <= 1e-3)
     assert rep.arg_max_point == tuple(field.seeds[si]) and rep.details["time"] == X.times[ti]
@@ -642,6 +648,28 @@ def test_stream_assembly_matches_char_field_bitwise(case, monkeypatch):
                 assert _same(getattr(got, name), getattr(want[key], name)), (rows, key, name)
 
 
+@pytest.mark.parametrize("case", list(_fold_cases()))
+def test_slices_are_the_full_grid_rows_bitwise(case, monkeypatch):
+    # every slice cold-starts on its own, so neither the other slices
+    # requested nor how the rows fall into blocks and Newton calls changes
+    # a bit; a 1 MiB cap splits transport-3d's blocks of 16 rows into
+    # Newton calls of 6
+    H, X, phi, box, substeps = _fold_cases()[case]
+    pts = _eval_points(box)
+    picked = np.sort(np.r_[0:X.n_points:5, 3, 3, X.n_points - 2])
+    first = None
+    for rows, cap in ((64, pde._FOLD_BLOCK_BYTES), (1, 2**20), (2, 2**20), (3, 2**20),
+                      (64, 2**20)):
+        monkeypatch.setattr(pde, "_FOLD_BLOCK_ROWS", rows)
+        monkeypatch.setattr(pde, "_FOLD_BLOCK_BYTES", cap)
+        full = assemble_solution_field(CharStream(H, X, phi, box, substeps), pts)
+        got = assemble_solution_field(CharStream(H, X, phi, box, substeps), pts, X.times[picked])
+        first = first or full
+        for name in ("u", "du", "valid"):
+            assert _same(getattr(got, name), getattr(full, name)[picked]), (rows, cap, name)
+            assert _same(getattr(full, name), getattr(first, name)), (rows, cap, name)
+
+
 def test_stream_takes_times_in_increasing_order_only():
     X = _short_line(9)
     stream = CharStream(get_hamiltonian("transport-k", 1), X, get_initial_data("sin", 1),
@@ -681,8 +709,8 @@ def test_a_crossing_that_rounds_to_t_idx_blocks_slice_idx(monkeypatch):
         field = _history(H, X, phi, box)
         assert (field.tau == X.times[idx]).all() and field.folded.all()
         seen[0] = 0
-        row = next(CharStream(H, X, phi, box).rows([idx]))
-        _, _, ok, pre, _ = pde._invert_batch(box, field.seeds, row, pts, 1e-10, 50)
+        stream = CharStream(H, X, phi, box)
+        _, _, ok, pre, _ = pde._invert_batch(stream, *next(stream.blocks([idx])), pts, 1e-10, 50)
         assert ok.all() and not pre.any()
         u, du, valid, sigma = _ref_assemble(field, pts, rows=range(idx - 1, idx + 2))
         seen[0] = 0

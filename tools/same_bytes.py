@@ -12,12 +12,17 @@ and a 2-d `residual`. The output files are compared with bench/run.py's
 `snapshot` (JSON up to `meta.created`, anything else byte for byte), and
 each call's exit code, standard output and standard error are compared
 with the tree's path masked. Prints one line per difference and exits 1
-if there is any, keeping the outputs under DIR.
+if there is any, keeping the outputs under DIR. For a JSON or CSV output
+that differs, the line gives the largest absolute difference between the
+numbers in the same place, and whether the non-numbers (NaN cells, which
+mark invalid solution entries, nulls, booleans and text) sit in the same
+places on both sides.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shutil
 import subprocess
@@ -69,6 +74,47 @@ def run_calls(tree: Path, calls, outdir: Path) -> list:
     return results
 
 
+def cells(doc) -> list:
+    """(place, value) of every leaf of a parsed JSON document, or of every
+    cell of a CSV file's bytes, numbers as floats."""
+    if isinstance(doc, bytes):
+        rows = [line.split(",") for line in doc.decode().splitlines()]
+        out = []
+        for i, row in enumerate(rows):
+            for j, cell in enumerate(row):
+                try:
+                    out.append(((i, j), float(cell)))
+                except ValueError:
+                    out.append(((i, j), cell))
+        return out
+    if isinstance(doc, dict):
+        return [((key,) + place, v) for key in sorted(doc) for place, v in cells(doc[key])]
+    if isinstance(doc, list):
+        return [((i,) + place, v) for i, item in enumerate(doc) for place, v in cells(item)]
+    number = isinstance(doc, (int, float)) and not isinstance(doc, bool)
+    return [((), float(doc) if number else doc)]
+
+
+def size_of_difference(a, b) -> str:
+    """How far two versions of one output differ."""
+    if isinstance(a, bytes) != isinstance(b, bytes):
+        return "one side is JSON, the other not"
+    try:
+        ca, cb = cells(a), cells(b)
+    except UnicodeDecodeError:
+        return "binary contents differ"
+    if [place for place, _ in ca] != [place for place, _ in cb]:
+        return "the layout differs"
+    worst, masks = 0.0, 0
+    for (_, x), (_, y) in zip(ca, cb):
+        if isinstance(x, float) and isinstance(y, float) and math.isfinite(x) and math.isfinite(y):
+            worst = max(worst, abs(x - y))
+        elif repr(x) != repr(y):  # NaN, inf, null, booleans, text: the masks
+            masks += 1
+    return (f"largest absolute difference {worst:.3g}; the NaN and non-number masks "
+            + ("agree" if not masks else f"differ in {masks} places"))
+
+
 def compare(name: str, calls, parent: tuple, change: tuple) -> list:
     """Lines naming each difference between the two sides' (results, snapshot)."""
     problems = []
@@ -79,8 +125,11 @@ def compare(name: str, calls, parent: tuple, change: tuple) -> list:
                                 f"{a!r} against {b!r}")
     snaps = parent[1], change[1]
     for f in sorted(set(snaps[0]) | set(snaps[1])):
-        if snaps[0].get(f) != snaps[1].get(f):
-            problems.append(f"{name}: output {f} differs")
+        if f not in snaps[0] or f not in snaps[1]:
+            problems.append(f"{name}: output {f} exists on one side only")
+        elif snaps[0][f] != snaps[1][f]:
+            problems.append(f"{name}: output {f} differs: "
+                            + size_of_difference(snaps[0][f], snaps[1][f]))
     return problems
 
 
