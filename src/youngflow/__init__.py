@@ -18,8 +18,7 @@ from .drivers import (DeterministicSpec, FbmSpec, GenerationError,
                       fbm_value_covariance, gen_deterministic, gen_fbm)
 from .fields import (FieldSpec, PointMap, ScalarObservable, SmoothMap,
                      TimeDependentMap, as_single_field)
-from .yde import (BlowUpError, FlowMap, NewtonError, SolveConfig, invert_flow,
-                  solve_flow, solve_yde)
+from .yde import BlowUpError, FlowMap, NewtonError, SolveConfig, solve_flow, solve_yde
 from .reports import (CheckReport, ResidualReport, make_check_report,
                       make_residual_report, residual_ladder)
 from .calculus import chain_rule_residual, ito_kunita_residual, substitution_residual
@@ -28,12 +27,11 @@ from .symmetry import (SampleDomain, check_conserved_algebraic,
                        check_symmetry_map, check_symmetry_trajectory, lie_bracket,
                        propagate_observable)
 from .composition import compose_flows
-from .pde import (CausticError, CharStream, CharTriple, GridBox,
-                  HamiltonianSpec, InversionError, ScalarHamiltonian,
-                  assemble_solution, assemble_solution_field, fold_times,
-                  interp_nodal, invert_char_map, pde_residual,
-                  seed_from_initial_data, solve_characteristics,
-                  verify_compatibility, verify_inverse_flow_equation)
+from .pde import (CausticError, CharStream, GridBox, HamiltonianSpec,
+                  InversionError, ScalarHamiltonian, assemble_solution_field,
+                  fold_times, interp_nodal, invert_char_map, pde_residual,
+                  seed_from_initial_data, verify_compatibility,
+                  verify_inverse_flow_equation)
 
 __version__ = "0.1.0"
 

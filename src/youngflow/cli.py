@@ -500,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--dim", type=positive_int, default=1)
         q.add_argument("--driver", required=True)
         q.add_argument("--box", required=True, help="seed box lo:hi:count[;...]")
-        q.add_argument("--newton-tol", type=positive, default=1e-10)
+        if name != "caustic":  # fold_times never inverts
+            q.add_argument("--newton-tol", type=positive, default=1e-10)
         _add_solver_flags(q)
         if name == "solve":
             q.add_argument("--eval", required=True, help="evaluation box lo:hi:count[;...]")

@@ -83,14 +83,24 @@ def write_path_csv(fname, path: SampledPath) -> None:
     _write_csv(fname, ["t"] + labels, [path.times, flat])
 
 
-def _refuse_ragged_rows(fname, width: int) -> None:
-    """PathError at the first data row of fname whose cell count is not width."""
+def _refuse_bad_rows(fname, width: int) -> None:
+    """PathError at the first data row of fname whose cell count is not
+    width or that holds a cell float() does not parse."""
     with open(fname) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#")[0].strip()  # loadtxt skips comments and blank lines
-            if lineno > 1 and text and text.count(",") + 1 != width:
-                raise PathError(f"{fname}: line {lineno} has {text.count(',') + 1} columns, "
+            if lineno == 1 or not text:
+                continue
+            cells = text.split(",")
+            if len(cells) != width:
+                raise PathError(f"{fname}: line {lineno} has {len(cells)} columns, "
                                 f"the header has {width}")
+            for col, cell in enumerate(cells, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise PathError(f"{fname}: line {lineno}, column {col}: "
+                                    f"{cell.strip()!r} is not a number") from None
 
 
 def read_path_csv(fname) -> SampledPath:
@@ -100,10 +110,10 @@ def read_path_csv(fname) -> SampledPath:
     try:
         data = np.loadtxt(fname, delimiter=",", skiprows=1, ndmin=2)
     except ValueError:
-        _refuse_ragged_rows(fname, len(cols))
+        _refuse_bad_rows(fname, len(cols))
         raise
     if data.shape[1] != len(cols):
-        _refuse_ragged_rows(fname, len(cols))
+        _refuse_bad_rows(fname, len(cols))
     times = data[:, 0]
     vals = data[:, 1:]
     if kind == "matrix":

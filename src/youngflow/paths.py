@@ -116,18 +116,6 @@ class SampledPath:
             raise PathError("restrict needs s < t on the grid")
         return SampledPath(self.times[i0 : i1 + 1], self.values[i0 : i1 + 1])
 
-    def concat(self, other: "SampledPath") -> "SampledPath":
-        if self.value_shape != other.value_shape:
-            raise PathError("concat needs matching value shapes")
-        if self.times[-1] != other.times[0] or not np.array_equal(
-            self.values[-1], other.values[0]
-        ):
-            raise PathError("concat needs exact agreement at the junction")
-        return SampledPath(
-            np.concatenate([self.times, other.times[1:]]),
-            np.concatenate([self.values, other.values[1:]], axis=0),
-        )
-
     def refine(self, k: int) -> "SampledPath":
         """Insert k-1 equally spaced points per interval, values linear."""
         if k < 1:

@@ -22,7 +22,7 @@ import numpy as np
 from .fields import DEFAULT_FD_STEP, FieldSpec, SmoothMap, _fd_last_axis
 from .paths import PathError, SampledPath, dyadic_prefix, dyadic_steps
 from .reports import CheckReport, ResidualReport, residual_ladder
-from .yde import BlowUpError, SolveConfig, _euler_sweep, solve_yde
+from .yde import BlowUpError, SolveConfig, _euler_sweep
 
 
 _NEAREST_CHUNK_BYTES = 4 * 2**20  # one part of the cold-start distance array, in bytes
@@ -72,10 +72,6 @@ class ScalarHamiltonian:
             return np.asarray(self.du(t, x, u, p), dtype=float)
         h = self.fd_step
         return (self.value_at(t, x, u + h, p) - self.value_at(t, x, u - h, p)) / (2 * h)
-
-    @property
-    def is_analytic(self) -> bool:
-        return all(fn is not None for fn in (self.dx, self.du, self.dp))
 
 
 @dataclass(frozen=True)
@@ -173,15 +169,6 @@ def interp_nodal(box: GridBox, nodal: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _interp(_locate(box, x), nodal)
 
 
-@dataclass(frozen=True)
-class CharTriple:
-    """Characteristic curves (a, b, c) of one seed on the driver grid."""
-
-    a: SampledPath
-    b: SampledPath
-    c: SampledPath
-
-
 def _char_field(H: HamiltonianSpec) -> FieldSpec:
     """The characteristic system as one Young system dY = f(t, Y) dX.
 
@@ -205,22 +192,6 @@ def _char_field(H: HamiltonianSpec) -> FieldSpec:
     return FieldSpec(in_dim=2 * d + 1, driver_dim=H.n_drivers, value=value)
 
 
-def solve_characteristics(H: HamiltonianSpec, X: SampledPath, init,
-                          substeps: int = 1) -> CharTriple:
-    """Characteristic triple from one seed (x, u, p); BlowUpError if it
-    turns non-finite."""
-    x, u, p = init
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    d = x.size
-    Y = solve_yde(_char_field(H), X, np.concatenate([x, [float(u)], p]), SolveConfig(substeps))
-    return CharTriple(
-        a=SampledPath(X.times, Y.values[:, :d]),
-        b=SampledPath(X.times, Y.values[:, d]),
-        c=SampledPath(X.times, Y.values[:, d + 1:]),
-    )
-
-
 def seed_from_initial_data(phi: SmoothMap, x: np.ndarray):
     """(x, phi(x), Dphi(x)) for a scalar initial condition phi."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -229,27 +200,22 @@ def seed_from_initial_data(phi: SmoothMap, x: np.ndarray):
     return x, u, p
 
 
-class CharRow(NamedTuple):
-    """The characteristic data of every seed at one driver grid point.
+class CharBlock(NamedTuple):
+    """The characteristic data of every seed at B consecutive grid points.
 
     tau and folded are the fold state as far as it is known: every
-    crossing up to at least the next grid point, which is all that
-    decides whether a cell is past its fold at t.
+    crossing up to at least the grid point after the block's last, which
+    is all that decides whether a cell is past its fold at its times.
     """
 
-    index: int
-    t: float
-    a: np.ndarray  # (m, d)
-    b: np.ndarray  # (m,)
-    c: np.ndarray  # (m, d)
-    jac: np.ndarray  # (m, d, d), D_x a_t across seeds
+    index: int  # grid index of the first row
+    t: np.ndarray  # (B,)
+    a: np.ndarray  # (B, m, d)
+    b: np.ndarray  # (B, m)
+    c: np.ndarray  # (B, m, d)
+    jac: np.ndarray  # (B, m, d, d), D_x a_t across seeds
     tau: np.ndarray  # (m,)
     folded: np.ndarray  # (m,)
-
-
-class CharBlock(CharRow):
-    """The CharRows of B consecutive grid points from index: t and the
-    seed arrays gain a leading axis of B rows; tau and folded are shared."""
 
 
 def _seed_gradient(box: GridBox, resh: np.ndarray) -> list:
@@ -325,10 +291,9 @@ class CharStream:
     and feeds each block's seed Jacobian determinants to the fold scan:
     O(seeds x block) memory for any driver length. Row idx is handed out
     only once the scan has seen row idx + 1, as a crossing between them
-    can round to tau == t_idx. Iterating or rows() flattens the blocks
-    into CharRows. Their arrays are buffers, valid until the next block
-    or row is requested. When the sweep ends, tau, folded and alive_until
-    are final.
+    can round to tau == t_idx. A block's arrays are buffers, valid until
+    the next block is requested. When the sweep ends, tau, folded and
+    alive_until are final.
     """
 
     def __init__(self, H: HamiltonianSpec, X: SampledPath, phi: SmoothMap,
@@ -342,19 +307,7 @@ class CharStream:
         self.tau = self.folded = self.alive_until = None
 
     def index_of(self, t: float) -> int:
-        i = int(np.searchsorted(self.times, t))
-        if i >= self.times.size or self.times[i] != t:
-            raise PathError(f"time {t!r} is not a driver grid point")
-        return i
-
-    def rows(self, indices):
-        """The rows at non-decreasing grid indices; the sweep runs to the end."""
-        for blk, sel in self.blocks(indices):
-            for r in sel.tolist():
-                yield CharRow(blk.index + r, blk.t[r], *(v[r] for v in blk[2:6]), *blk[6:])
-
-    def __iter__(self):
-        return self.rows(range(self.times.size))
+        return self._X.index_of(t)
 
     def blocks(self, indices=None):
         """(CharBlock, rows) for each block holding requested grid indices
@@ -486,13 +439,6 @@ class SolutionField:
     valid: np.ndarray
     tau_map: np.ndarray
     sigma_proxy: np.ndarray
-
-
-def assemble_solution(stream: CharStream, t: float, points,
-                      newton_tol: float = 1e-10, max_iter: int = 50):
-    """One time slice: (u (k,), du (k, d), valid (k,)) at the given points."""
-    sol = assemble_solution_field(stream, points, [t], newton_tol, max_iter)
-    return sol.u[0], sol.du[0], sol.valid[0]
 
 
 def assemble_solution_field(stream: CharStream, points, times=None,

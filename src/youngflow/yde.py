@@ -1,4 +1,4 @@
-"""Differential systems dY = f(Y) dX: explicit Euler, flows, inversion."""
+"""Differential systems dY = f(Y) dX: explicit Euler and flows."""
 
 from __future__ import annotations
 
@@ -111,10 +111,10 @@ def _euler_sweep(field: FieldSpec, X: SampledPath, y0s: np.ndarray, cfg: SolveCo
 
 
 def _euler_core(field: FieldSpec, X: SampledPath, y0s: np.ndarray, cfg: SolveConfig,
-                with_jacobian: bool, stop_index: int | None = None, history: int = 2):
-    """([states] or [states, jacobians], alive_idx) of _euler_sweep to stop_index;
+                with_jacobian: bool, history: int = 2):
+    """([states] or [states, jacobians], alive_idx) of _euler_sweep over X;
     the first `history` arrays hold every row (n, m, ...), the rest their last."""
-    n = X.n_points if stop_index is None else stop_index + 1
+    n = X.n_points
     alive_idx = np.full(np.atleast_2d(y0s).shape[0], n - 1, dtype=int)
     sweep = _euler_sweep(field, X, y0s, cfg, with_jacobian, n, alive_idx)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -141,49 +141,25 @@ def solve_yde(field: FieldSpec, X: SampledPath, y0, cfg: SolveConfig | None = No
 class FlowMap:
     """Flow of dY = f(Y) dX over a batch of initial points.
 
-    states has shape (n, m, d), jacobians (n, m, d, d) from the variational
-    recursion J_{i+1} = (I + sum_j D_y f_j dX^j) J_i, or None if solved with
+    states has shape (n, m, d) on the driver times (n,), jacobians
+    (n, m, d, d) from the variational recursion
+    J_{i+1} = (I + sum_j D_y f_j dX^j) J_i, or None if solved with
     jacobian_history=False. alive_until[i] is the last time the i-th
-    trajectory was finite; beyond it the stored state is frozen. The
-    producing field/driver/config are kept so the flow can be re-evaluated
-    from fresh initial points.
+    trajectory was finite; beyond it the stored state is frozen.
     """
 
-    field: FieldSpec
-    driver: SampledPath
-    cfg: SolveConfig
+    times: np.ndarray
     initial_points: np.ndarray
     states: np.ndarray
     jacobians: np.ndarray | None
     alive_until: np.ndarray
 
     @property
-    def times(self) -> np.ndarray:
-        return self.driver.times
-
-    @property
     def n_points(self) -> int:
         return self.initial_points.shape[0]
 
-    def index_of(self, t: float) -> int:
-        return self.driver.index_of(t)
-
     def trajectory(self, i: int) -> SampledPath:
         return SampledPath(self.times, self.states[:, i, :])
-
-    def evaluate(self, x, stop_index: int | None = None) -> np.ndarray:
-        """Fresh Euler evaluation of the flow from new initial points x.
-
-        Identical arithmetic to the stored solve (bitwise, by the
-        recurrence structure). Returns states (k, m, d) up to stop_index.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        (states,), alive = _euler_core(self.field, self.driver, x, self.cfg, with_jacobian=False,
-                                       stop_index=stop_index)
-        want = (self.driver.n_points - 1) if stop_index is None else stop_index
-        if np.any(alive < want):
-            raise BlowUpError(float(self.times[int(alive.min())]))
-        return states
 
 
 def solve_flow(field: FieldSpec, X: SampledPath, initial_points, cfg: SolveConfig | None = None,
@@ -195,68 +171,9 @@ def solve_flow(field: FieldSpec, X: SampledPath, initial_points, cfg: SolveConfi
     (states, jacs), alive_idx = _euler_core(field, X, pts, cfg, with_jacobian=True,
                                             history=1 + jacobian_history)
     return FlowMap(
-        field=field,
-        driver=X,
-        cfg=cfg,
+        times=X.times,
         initial_points=pts,
         states=states,
         jacobians=jacs if jacobian_history else None,
         alive_until=X.times[alive_idx],
     )
-
-
-def invert_flow(flow: FlowMap, t: float, y, newton_tol: float = 1e-10,
-                max_iter: int = 50, initial_guess=None) -> np.ndarray:
-    """Solve Y_t(x) = y for x by damped Newton iteration.
-
-    Residuals come from fresh Euler evaluations of the flow; derivatives
-    use the stored Jacobian of the initial point nearest the current
-    iterate; the starting guess is the initial point whose endpoint image
-    is nearest y (or the caller's warm start). Steps are halved while the
-    residual increases.
-    """
-    if flow.jacobians is None:
-        raise PathError("invert_flow needs a flow solved with jacobian_history=True")
-    idx = flow.index_of(t)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if initial_guess is not None:
-        x = np.atleast_1d(np.asarray(initial_guess, dtype=float)).copy()
-    else:
-        images = flow.states[idx]
-        x = flow.initial_points[int(np.argmin(np.linalg.norm(images - y, axis=1)))].copy()
-
-    def residual(xc):  # the last row of evaluate(), without the history
-        (last,), alive = _euler_core(flow.field, flow.driver, xc[None, :], flow.cfg,
-                                     with_jacobian=False, stop_index=idx, history=0)
-        if alive[0] < idx:
-            raise BlowUpError(float(flow.times[alive[0]]))
-        return last[0] - y
-
-    r = residual(x)
-    rn = float(np.linalg.norm(r))
-    for _ in range(max_iter):
-        if rn <= newton_tol:
-            return x
-        near = int(np.argmin(np.linalg.norm(flow.initial_points - x, axis=1)))
-        jac = flow.jacobians[idx, near]
-        try:
-            delta = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError:
-            raise NewtonError("stored Jacobian is singular at the Newton seed", rn)
-        for _ in range(9):
-            cand = x - delta
-            try:
-                rc = residual(cand)
-            except BlowUpError:
-                delta = 0.5 * delta
-                continue
-            rcn = float(np.linalg.norm(rc))
-            if rcn < rn:
-                break
-            delta = 0.5 * delta
-        else:
-            raise NewtonError("damped Newton made no progress", rn)
-        x, r, rn = cand, rc, rcn
-    if rn <= newton_tol:
-        return x
-    raise NewtonError(f"no convergence within {max_iter} iterations", rn)

@@ -392,6 +392,26 @@ def test_pde_solve_zero_slices_exits_two_before_writing(capsys, workdir, lin17_c
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_pde_caustic_refuses_newton_tol(capsys, workdir, negline_csv, via_config):
+    # fold_times never inverts: the flag has nothing to set
+    out = workdir / "never_caustic_tol"
+    argv = ["pde", "caustic", "--hamiltonian", "burgers-half-p-squared",
+            "--init", "neg-half-square", "--driver", negline_csv, "--box=-2:2:21",
+            "-o", str(out)]
+    if via_config:
+        cfg = workdir / "caustic_tol.cfg"
+        cfg.write_text("newton-tol=5\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--newton-tol", "5"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--newton-tol" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_missing_required_flag_exits_two(capsys, lin17_csv):
     with pytest.raises(SystemExit) as err:
         main(["pvar", "--path", lin17_csv])
@@ -526,7 +546,7 @@ def test_pde_caustic_equals_char_field_payload(capsys, negline_csv, init, subste
         youngflow.builtins.get_hamiltonian("burgers-half-p-squared", dim),
         read_path_csv(negline_csv), youngflow.builtins.get_initial_data(init, dim),
         grid, substeps=int(substeps))
-    for _ in stream:  # run to its end: tau and folded are final
+    for _ in stream.blocks():  # run to its end: tau and folded are final
         pass
     want = {
         "tau_map": jsonable_times(stream.tau.reshape(grid.counts)),
@@ -589,6 +609,26 @@ def test_ragged_csv_rows_exit_two_naming_the_line(capsys, workdir, rows, line, c
     err = capsys.readouterr().err
     assert rc == 2
     assert err == f"error: {bad}: line {line} has {cells} columns, the header has 3\n"
+
+
+def test_non_numeric_csv_cell_exits_two_naming_the_line(capsys, workdir):
+    bad = workdir / "badcell.csv"
+    bad.write_text("t,x1\n# a comment\n0,1\n1, abc\n2,3\n")
+    rc = main(["pvar", "--p", "2", "--path", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {bad}: line 4, column 2: 'abc' is not a number\n"
+
+
+def test_csv_cell_only_loadtxt_refuses_keeps_its_error(capsys, workdir):
+    # float() reads 1_0 as 10, np.loadtxt does not: the scan finds no bad
+    # cell, and loadtxt's own error is reported
+    bad = workdir / "underscore.csv"
+    bad.write_text("t,x1\n0,1\n1,1_0\n")
+    rc = main(["pvar", "--p", "2", "--path", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: could not convert string '1_0'")
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 64, 129])
@@ -687,3 +727,33 @@ def test_exception_escaping_a_handler_exits_four_without_traceback(
     out, err = capsys.readouterr()
     assert rc == 4 and out == ""
     assert err == "internal error: RuntimeError: unexpected state\n"
+
+
+# --------------------------------------------------------- package surface
+
+# Every public name of the package: a change to this list is a change of
+# the library's contract, and is made here on purpose.
+PUBLIC_NAMES = [
+    "BlowUpError", "CausticError", "CharStream", "CheckReport", "DeterministicSpec",
+    "DimensionMismatch", "FbmSpec", "FieldSpec", "FlowMap", "GenerationError",
+    "GridBox", "HamiltonianSpec", "IntegralResult", "InversionError", "NewtonError",
+    "Partition", "PathError", "PointMap", "ResidualReport", "ResourceError",
+    "SampleDomain", "SampledPath", "ScalarHamiltonian", "ScalarObservable", "SmoothMap",
+    "SolveConfig", "TimeDependentMap", "VariationResult", "YoungConditionError",
+    "as_single_field", "assemble_solution_field", "calculus", "chain_rule_residual",
+    "check_conserved_algebraic", "check_conserved_trajectory",
+    "check_infinitesimal_symmetry", "check_symmetry_map", "check_symmetry_trajectory",
+    "compose_flows", "composition", "drivers", "dyadic_prefix", "dyadic_steps",
+    "fbm_increment_covariance", "fbm_value_covariance", "fields", "fold_times",
+    "gen_deterministic", "gen_fbm", "holder_norm", "indefinite_integral", "integrate",
+    "interp_nodal", "invert_char_map", "ito_kunita_residual", "lie_bracket",
+    "make_check_report", "make_residual_report", "p_variation", "p_variation_norm",
+    "paths", "pde", "pde_residual", "propagate_observable", "reports",
+    "residual_ladder", "seed_from_initial_data", "solve_flow", "solve_yde",
+    "substitution_residual", "symmetry", "verify_compatibility",
+    "verify_inverse_flow_equation", "yde", "young_integral", "young_loeve_bound",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(youngflow.__all__) == PUBLIC_NAMES

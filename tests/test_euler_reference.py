@@ -221,7 +221,8 @@ def test_solve_flow_matches_reference(sub):
     assert np.array_equal(flow.alive_until, X.times[alive])
     Y = solve_yde(_timed_field(), X, pts[2], _cfg(sub))
     assert np.array_equal(Y.values, _ref_euler(_timed_field(), X, pts[2], sub, False)[0][:, 0])
-    assert np.array_equal(flow.evaluate(pts[3:5], stop_index=77), states[:78, 3:5])
+    assert np.array_equal(solve_flow(_timed_field(), X, pts[3:5], _cfg(sub)).states,
+                          states[:, 3:5])
 
 
 @pytest.mark.parametrize("sub", SUBSTEPS)
@@ -393,8 +394,8 @@ def _seed_data_map(value, gradient):
 def _stream_history(H, X, phi, box, sub):
     """The a, b, c rows of a CharStream run to its end, and its alive_until."""
     stream = CharStream(H, X, phi, box, sub)
-    rows = [(row.a.copy(), row.b.copy(), row.c.copy()) for row in stream]
-    return (*(np.stack(v) for v in zip(*rows)), stream.alive_until)
+    blocks = [(blk.a.copy(), blk.b.copy(), blk.c.copy()) for blk, _ in stream.blocks()]
+    return (*(np.concatenate(v) for v in zip(*blocks)), stream.alive_until)
 
 
 @pytest.mark.parametrize("sub", [1, 2])

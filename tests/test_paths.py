@@ -357,17 +357,6 @@ def test_restrict_full_span_is_identity():
     assert np.array_equal(R.values, X.values)
 
 
-def test_concat_requires_exact_junction():
-    A = SampledPath([0.0, 1.0], [0.0, 1.0])
-    B = SampledPath([1.0, 2.0], [1.0, 3.0])
-    C = A.concat(B)
-    assert np.array_equal(C.times, [0.0, 1.0, 2.0])
-    with pytest.raises(PathError):
-        A.concat(SampledPath([1.0, 2.0], [1.5, 3.0]))
-    with pytest.raises(PathError):
-        A.concat(SampledPath([0.5, 2.0], [1.0, 3.0]))
-
-
 def test_refine_preserves_monotone_p_variation():
     X = SampledPath(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
     for k in (2, 3, 5):

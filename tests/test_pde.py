@@ -15,7 +15,6 @@ from youngflow import (
     SampledPath,
     ScalarHamiltonian,
     SmoothMap,
-    assemble_solution,
     assemble_solution_field,
     gen_deterministic,
     gen_fbm,
@@ -23,7 +22,6 @@ from youngflow import (
     invert_char_map,
     pde_residual,
     seed_from_initial_data,
-    solve_characteristics,
     verify_compatibility,
     verify_inverse_flow_equation,
 )
@@ -60,7 +58,17 @@ def _neg_line(n, horizon=1.0):
 
 def _dets(stream):
     """det D_x a_t (n, m) of every row; the stream is run to its end."""
-    return np.stack([np.linalg.det(row.jac) for row in stream])
+    return np.concatenate([np.linalg.det(blk.jac) for blk, _ in stream.blocks()])
+
+
+def _seed_column(H, X, phi, box, x):
+    """a (n, d), b (n,), c (n, d) of the seed at node x of box, read off a
+    CharStream run to its end."""
+    stream = CharStream(H, X, phi, box)
+    (i,) = np.flatnonzero((stream.seeds == x).all(axis=1))
+    cols = [(blk.a[:, i].copy(), blk.b[:, i].copy(), blk.c[:, i].copy())
+            for blk, _ in stream.blocks()]
+    return tuple(np.concatenate(v) for v in zip(*cols))
 
 
 # ------------------------------------------------------------------- grids
@@ -110,37 +118,39 @@ def test_transport_characteristics_closed_form():
     X = gen_fbm(FbmSpec(hurst=0.75, n_points=257, seed=1))
     H = get_hamiltonian("transport-k", dim=1, params={"k": 0.7})
     phi = get_initial_data("neg-half-square", dim=1)
-    (x0,), u0, p0 = seed_from_initial_data(phi, np.array([[0.8]]))
-    tri = solve_characteristics(H, X, (x0, float(u0[0]), p0[0]))
+    a, b, c = _seed_column(H, X, phi, GridBox((0.0,), (0.8,), (3,)), [0.8])
     dx = X.values[:, 0] - X.values[0, 0]
-    assert np.allclose(tri.a.values[:, 0], 0.8 - 0.7 * dx, atol=1e-12)
-    assert np.all(tri.b.values[:, 0] == tri.b.values[0, 0])
-    assert np.all(tri.c.values[:, 0] == tri.c.values[0, 0])
+    assert np.allclose(a[:, 0], 0.8 - 0.7 * dx, atol=1e-12)
+    assert np.all(b == b[0])
+    assert np.all(c[:, 0] == c[0, 0])
 
 
 def test_zero_hamiltonian_keeps_triple_frozen():
     X = gen_fbm(FbmSpec(hurst=0.75, n_points=65, seed=3))
-    tri = solve_characteristics(_zero_hamiltonian(1), X, ([0.4], 2.0, [-1.0]))
-    assert np.all(tri.a.values == 0.4)
-    assert np.all(tri.b.values == 2.0)
-    assert np.all(tri.c.values == -1.0)
+    phi = _linear_init(slope=-1.0, offset=2.4)  # u = 2.0 and p = -1.0 at the seed 0.4
+    a, b, c = _seed_column(_zero_hamiltonian(1), X, phi, GridBox((0.0,), (0.8,), (3,)), [0.4])
+    assert np.all(a == 0.4)
+    assert np.all(b == 2.0)
+    assert np.all(c == -1.0)
 
 
 def test_quadratic_hamiltonian_characteristics_closed_form():
     X = _neg_line(2**9 + 1, horizon=0.75)
     H = get_hamiltonian("burgers-half-p-squared", dim=1)
-    tri = solve_characteristics(H, X, ([1.0], -0.5, [-1.0]))
+    phi = get_initial_data("neg-half-square", dim=1)  # u = -0.5 and p = -1.0 at the seed 1.0
+    a, b, c = _seed_column(H, X, phi, GridBox((0.0,), (1.0,), (3,)), [1.0])
     dx = X.values[:, 0]
     # momentum frozen, position x - p dX, value u - p^2/2 dX
-    assert np.all(tri.c.values[:, 0] == -1.0)
-    assert np.allclose(tri.a.values[:, 0], 1.0 + dx, atol=1e-12)
-    assert np.allclose(tri.b.values[:, 0], -0.5 - 0.5 * dx, atol=1e-12)
+    assert np.all(c[:, 0] == -1.0)
+    assert np.allclose(a[:, 0], 1.0 + dx, atol=1e-12)
+    assert np.allclose(b, -0.5 - 0.5 * dx, atol=1e-12)
 
 
 def test_driver_dimension_must_match_components():
     X2 = SampledPath([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(PathError):
-        solve_characteristics(_zero_hamiltonian(1), X2, ([0.0], 0.0, [0.0]))
+        CharStream(_zero_hamiltonian(1), X2, _linear_init(),
+                   GridBox((0.0,), (1.0,), (2,)))
 
 
 def test_seed_from_initial_data_values():
@@ -191,17 +201,15 @@ def test_char_field_triple_accessor():
     X = _line(65)
     H = get_hamiltonian("transport-k", dim=1, params={"k": 1.0})
     box = GridBox(lower=(-1.0,), upper=(1.0,), counts=(11,))
-    stream = CharStream(H, X, _linear_init(), box)
-    (x,), (u,), (p,) = seed_from_initial_data(_linear_init(), stream.seeds[5:6])
-    tri = solve_characteristics(H, X, (x, u, p))
-    assert tri.a.n_points == 65
-    assert tri.a.values[0, 0] == stream.seeds[5, 0]
-    # one seed alone gets the bits of its column in the stream
-    rows = [(row.a[5].copy(), row.b[5], row.c[5].copy()) for row in stream]
-    for got, col in zip((tri.a, tri.b, tri.c), zip(*rows)):
-        assert np.array_equal(got.values, np.stack(col).reshape(got.values.shape))
+    wide = _seed_column(H, X, _linear_init(), box, [0.0])
+    assert wide[0].shape == (65, 1)
+    assert wide[0][0, 0] == 0.0
+    # the seed with one neighbour gets the bits of its column among eleven
+    alone = _seed_column(H, X, _linear_init(), GridBox((0.0,), (1.0,), (2,)), [0.0])
+    for got, want in zip(alone, wide):
+        assert np.array_equal(got, want)
     with pytest.raises(PathError):
-        stream.index_of(0.1234567)
+        CharStream(H, X, _linear_init(), box).index_of(0.1234567)
 
 
 def test_box_dimension_must_match_state():
@@ -265,10 +273,10 @@ def test_assemble_zero_hamiltonian_returns_initial_data():
     box = GridBox(lower=(-1.0,), upper=(1.0,), counts=(21,))
     stream = CharStream(_zero_hamiltonian(1), X, _linear_init(), box)
     pts = np.linspace(-0.9, 0.9, 7)[:, None]
-    u, du, valid = assemble_solution(stream, 1.0, pts)
-    assert valid.all()
-    assert np.allclose(u, 0.5 + 0.25 * pts[:, 0], atol=1e-10)
-    assert np.allclose(du, 0.25, atol=1e-10)
+    sol = assemble_solution_field(stream, pts, [1.0])
+    assert sol.valid.all()
+    assert np.allclose(sol.u[0], 0.5 + 0.25 * pts[:, 0], atol=1e-10)
+    assert np.allclose(sol.du[0], 0.25, atol=1e-10)
 
 
 def test_assemble_transport_closed_form():
@@ -276,8 +284,9 @@ def test_assemble_transport_closed_form():
     pts = np.linspace(-1.0, 1.0, 21)[:, None]
     for idx in (64, 192, 256):
         t = float(X.times[idx])
-        u, du, valid = assemble_solution(stream, t, pts)
-        assert valid.all()
+        sol = assemble_solution_field(stream, pts, [t])
+        (u,), (du,) = sol.u, sol.du
+        assert sol.valid.all()
         shift = 0.7 * (X.values[idx, 0] - X.values[0, 0])
         assert np.max(np.abs(u - np.sin(pts[:, 0] + shift))) < 5e-4
         assert np.max(np.abs(du[:, 0] - np.cos(pts[:, 0] + shift))) < 5e-3
@@ -397,7 +406,7 @@ def test_two_seed_resolutions_agree_pre_caustic():
     us = []
     for counts in (201, 401):
         stream = CharStream(Hb, Xn, phi, GridBox(lower=(-2.0,), upper=(2.0,), counts=(counts,)))
-        u, _, valid = assemble_solution(stream, 0.75, pts)
-        assert valid.all()
-        us.append(u)
+        sol = assemble_solution_field(stream, pts, [0.75])
+        assert sol.valid.all()
+        us.append(sol.u[0])
     assert np.max(np.abs(us[0] - us[1])) < 1e-4

@@ -241,8 +241,9 @@ def _history(H, X, phi, box, substeps=1):
     read whole histories: A, B, C, jac, det (n, m, ...) and the stream's
     final fold and blow-up state."""
     stream = CharStream(H, X, phi, box, substeps)
-    rows = [(row.a.copy(), row.b.copy(), row.c.copy(), row.jac.copy()) for row in stream]
-    A, B, C, jac = (np.stack(v) for v in zip(*rows))
+    blocks = [(blk.a.copy(), blk.b.copy(), blk.c.copy(), blk.jac.copy())
+              for blk, _ in stream.blocks()]
+    A, B, C, jac = (np.concatenate(v) for v in zip(*blocks))
     return SimpleNamespace(box=box, seeds=stream.seeds, times=stream.times, A=A, B=B, C=C,
                            jac=jac, det=np.linalg.det(jac), tau=stream.tau,
                            folded=stream.folded, alive_until=stream.alive_until)
@@ -436,7 +437,7 @@ def test_fd_partials_match_the_former_fd_vec():
     # no analytic partials: dx and dp come from central differences
     comp = ScalarHamiltonian(value=lambda t, x, u, p: np.sin(x[..., 0] * p[..., -1]) * u
                              + 0.5 * np.sum(p ** 2, axis=-1) * np.cos(t + x[..., -1]))
-    assert not comp.is_analytic
+    assert comp.dx is comp.du is comp.dp is None
     rng = np.random.default_rng(3)
     x, p = rng.normal(size=(17, 3)), rng.normal(size=(17, 3))
     u = rng.normal(size=17)
@@ -801,6 +802,7 @@ def test_large_seed_boxes_get_fewer_rows_per_block():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20
-    det = np.stack([np.linalg.det(row.jac) for row in CharStream(H, X, phi, box)])
+    stream = CharStream(H, X, phi, box)
+    det = np.concatenate([np.linalg.det(blk.jac) for blk, _ in stream.blocks()])
     ref_tau, ref_folded = _ref_first_zero_crossing(X.times, det)
     assert _same(tau, ref_tau) and np.array_equal(folded, ref_folded)

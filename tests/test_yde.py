@@ -1,4 +1,4 @@
-"""Euler solves of dY = f(Y) dX, flow maps, and flow inversion."""
+"""Euler solves of dY = f(Y) dX and flow maps."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,11 @@ from youngflow import (
     DeterministicSpec,
     FbmSpec,
     FieldSpec,
-    NewtonError,
     PathError,
     SampledPath,
     SolveConfig,
     gen_deterministic,
     gen_fbm,
-    invert_flow,
     solve_flow,
     solve_yde,
 )
@@ -115,8 +113,7 @@ def test_jacobian_matches_finite_differences():
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        plus = flow.evaluate((x0 + e)[None, :])[-1, 0]
-        minus = flow.evaluate((x0 - e)[None, :])[-1, 0]
+        plus, minus = solve_flow(field, X, [x0 + e, x0 - e]).states[-1]
         fd[:, j] = (plus - minus) / (2 * h)
     assert np.allclose(flow.jacobians[-1, 0], fd, atol=1e-4)
 
@@ -152,64 +149,10 @@ def test_flow_map_freezes_dead_points():
     # the positive point dies, the negative one survives to the horizon
     assert flow.alive_until[0] < 1.0
     assert flow.alive_until[1] == 1.0
-    i_dead = flow.index_of(flow.alive_until[0])
+    i_dead = strong.index_of(flow.alive_until[0])
     frozen = flow.states[i_dead, 0]
     assert np.array_equal(flow.states[-1, 0], frozen)
     assert np.isfinite(flow.states).all()
-
-
-def test_flow_evaluate_is_bitwise_consistent():
-    X = gen_fbm(FbmSpec(hurst=0.8, n_points=129, seed=6))
-    flow = solve_flow(get_field("scaling", dim=1), X, [[1.0], [2.0]])
-    again = flow.evaluate(flow.initial_points)
-    assert np.array_equal(again, flow.states)
-
-
-def test_invert_flow_identity_for_zero_field():
-    X = _line(17)
-    flow = solve_flow(_zero_field(2), X, [[0.0, 0.0], [1.0, 1.0]])
-    x = invert_flow(flow, 1.0, [0.7, -0.2])
-    assert np.allclose(x, [0.7, -0.2], atol=1e-10)
-
-
-def test_invert_flow_scalar_closed_form():
-    X = _line(2**10 + 1)
-    flow = solve_flow(get_field("scaling", dim=1), X, np.linspace(0.5, 3.0, 11)[:, None])
-    target = 4.0
-    x = invert_flow(flow, 1.0, [target])
-    # forward map is x * exp(X_1) up to Euler error; check the defining
-    # equation rather than the continuum formula
-    forward = flow.evaluate(x[None, :])[-1, 0, 0]
-    assert abs(forward - target) <= 1e-10
-    assert abs(x[0] - target * np.exp(-1.0)) < 5e-3
-
-
-def test_invert_flow_round_trip():
-    X = gen_fbm(FbmSpec(hurst=0.75, n_points=257, seed=12))
-    field = get_field("square", dim=2)
-    grid = np.array([[a, b] for a in np.linspace(-0.6, 0.6, 5) for b in np.linspace(-0.6, 0.6, 5)])
-    flow = solve_flow(field, X, grid)
-    y = flow.states[-1, 7]
-    x = invert_flow(flow, 1.0, y)
-    assert np.allclose(flow.evaluate(x[None, :])[-1, 0], y, atol=1e-9)
-
-
-def test_invert_flow_failure_raises():
-    # dY = Y^2 dt from x < 0 lands in (-1, 0]; -3 is outside the image,
-    # so the residual has a positive floor and Newton must give up
-    X = _line(129)
-    flow = solve_flow(get_field("square", dim=1), X, [[-0.5], [0.5]])
-    with pytest.raises(NewtonError) as info:
-        invert_flow(flow, 1.0, [-3.0], max_iter=25)
-    assert info.value.best_residual > 0
-
-
-def test_invert_flow_refuses_a_flow_without_jacobian_history():
-    X = _line(17)
-    flow = solve_flow(get_field("scaling", dim=1), X, [[1.0], [2.0]], jacobian_history=False)
-    assert flow.jacobians is None
-    with pytest.raises(PathError, match="jacobian_history=True"):
-        invert_flow(flow, 1.0, [1.5])
 
 
 def test_self_convergence_under_dyadic_refinement():

@@ -8,7 +8,9 @@ Both revisions are extracted with bench_pairs.py's `extract` into DIR
 bench/workloads.py makes its inputs once, and each tree runs every call
 of the workload as a CLI call from its own `src/`. Three extra `pde`
 calls run as well: a folding `solve` with two substeps, a 2-d `caustic`
-and a 2-d `residual`. The output files are compared with bench/run.py's
+and a 2-d `residual`; and two extra `yde` calls: a `flow` with two
+substeps on a ramp that kills some of its rows, and a `compose` with the
+nonlinear inner field `square`, which relaxes in more than one sweep. The output files are compared with bench/run.py's
 `snapshot` (JSON up to `meta.created`, anything else byte for byte), and
 each call's exit code, standard output and standard error are compared
 with the tree's path masked. Prints one line per difference and exits 1
@@ -59,6 +61,25 @@ def pde_extra(seed: int, indir: Path) -> Workload:
          "--eval=-1:1:5;-1:1:4", "--levels", "3", "-o", "residual2.json"],
     )
     return Workload("pde_extra", calls, lambda out: [])
+
+
+def yde_extra(seed: int, indir: Path) -> Workload:
+    """A flow whose rows partly blow up, and a nonlinear compose."""
+    rng = np.random.default_rng([seed, 5])
+    ramp, outer, inner = indir / "ramp.csv", indir / "outer.csv", indir / "inner.csv"
+    times = np.linspace(0.0, 1.0, 257)
+    # dY = Y^2 dX with X_t = k t: the rows from y0 > 1/k die near t = 1/(k y0)
+    inputs.write_path(ramp, times, rng.uniform(3.0, 6.0) * times[:, None])
+    inputs.write_path(outer, *inputs.fbm(257, 0.75, rng))
+    inputs.write_path(inner, *inputs.fbm(257, 0.75, rng))
+    calls = (
+        ["flow", "--field", "square", "--dim", "1", "--driver", str(ramp), "--grid=-1:2:7",
+         "--substeps", "2", "-o", "dying_flow"],
+        ["compose", "--outer-field", "scaling", "--outer-driver", str(outer),
+         "--inner-field", "square", "--inner-driver", str(inner), "--dim", "1",
+         "--y0", "0.3", "--levels", "3", "-o", "compose_square.json"],
+    )
+    return Workload("yde_extra", calls, lambda out: [])
 
 
 def run_calls(tree: Path, calls, outdir: Path) -> list:
@@ -142,7 +163,7 @@ def main(argv=None) -> int:
         trees[side] = args.workdir / sha[:12]
         if not (trees[side] / "src").exists():
             extract(sha, trees[side])
-    builders = {**WORKLOADS, "pde_extra": pde_extra}
+    builders = {**WORKLOADS, "pde_extra": pde_extra, "yde_extra": yde_extra}
     runs = Path(tempfile.mkdtemp(prefix="same-bytes-", dir=args.workdir))
     problems = []
     for seed in args.seeds:
