@@ -8,12 +8,15 @@ fully analytic object (Jacobians supplied, no finite differences).
 from __future__ import annotations
 
 import inspect
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .fields import (FieldSpec, PointMap, ScalarObservable, SmoothMap,
                      TimeDependentMap)
-from .pde import HamiltonianSpec, ScalarHamiltonian
+
+if TYPE_CHECKING:
+    from .pde import HamiltonianSpec
 
 
 class UnknownBuiltin(LookupError):
@@ -181,8 +184,12 @@ TIME_MAPS = {
 
 
 # ------------------------------------------------------------ pde pieces
+# The Hamiltonian builders import pde when they run, so that the field,
+# map and observable builders load no pde code.
 
 def _ham_transport(dim: int, k: float | tuple = 1.0) -> HamiltonianSpec:
+    from .pde import HamiltonianSpec, ScalarHamiltonian
+
     kv = np.broadcast_to(np.asarray(k, dtype=float), (dim,)).copy()
 
     comp = ScalarHamiltonian(
@@ -195,6 +202,8 @@ def _ham_transport(dim: int, k: float | tuple = 1.0) -> HamiltonianSpec:
 
 
 def _ham_burgers(dim: int) -> HamiltonianSpec:
+    from .pde import HamiltonianSpec, ScalarHamiltonian
+
     comp = ScalarHamiltonian(
         value=lambda t, x, u, p: 0.5 * np.sum(p ** 2, axis=-1),
         dx=lambda t, x, u, p: np.zeros_like(x),

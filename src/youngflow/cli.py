@@ -18,25 +18,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from importlib import import_module
 
 import numpy as np
 
-from . import builtins as bi
 from . import io as yio
-from .calculus import chain_rule_residual, ito_kunita_residual, substitution_residual
-from .composition import compose_flows
-from .drivers import (DETERMINISTIC_KINDS, DeterministicSpec, FbmSpec,
-                      GenerationError, ResourceError, gen_deterministic,
-                      gen_fbm)
-from .drivers import GENERATOR_VERSION
-from .integrate import YoungConditionError, young_integral
-from .paths import PathError, p_variation
-from .pde import (CausticError, CharStream, GridBox, InversionError,
-                  assemble_solution_field, fold_times, pde_residual)
-from .symmetry import (SampleDomain, check_conserved_algebraic,
-                       check_conserved_trajectory, check_infinitesimal_symmetry,
-                       check_symmetry_map, check_symmetry_trajectory)
-from .yde import BlowUpError, NewtonError, SolveConfig, solve_flow, solve_yde
+from .paths import DETERMINISTIC_KINDS, GridBox, PathError, p_variation
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -45,6 +32,73 @@ INTERNAL_EXIT = 4
 
 class OverflowFailure(ArithmeticError):
     """A result of finite input data that overflowed the float range."""
+
+
+# ------------------------------------------------------- lazy layer names
+
+# The layer names the handlers call, by the module that defines them, and
+# the modules each subcommand runs. main binds a subcommand's names into
+# this module before it builds the parser, so a call loads no module it
+# does not run. A name bound here already, such as a test's or a tracer's
+# replacement, is kept, and the handler calls it.
+_LAYER_NAMES = {
+    "drivers": ("DeterministicSpec", "FbmSpec", "GENERATOR_VERSION", "gen_deterministic",
+                "gen_fbm"),
+    "integrate": ("young_integral",),
+    "builtins": ("get_field", "get_hamiltonian", "get_initial_data", "get_observable",
+                 "get_point_map", "get_smooth_map", "get_time_map"),
+    "yde": ("SolveConfig", "solve_flow", "solve_yde"),
+    "calculus": ("chain_rule_residual", "ito_kunita_residual", "substitution_residual"),
+    "symmetry": ("SampleDomain", "check_conserved_algebraic", "check_conserved_trajectory",
+                 "check_infinitesimal_symmetry", "check_symmetry_map",
+                 "check_symmetry_trajectory"),
+    "composition": ("compose_flows",),
+    "pde": ("CharStream", "assemble_solution_field", "fold_times", "pde_residual"),
+}
+_COMMAND_LAYERS = {
+    "gen": ("drivers",),
+    "integrate": ("integrate",),
+    "solve": ("builtins", "yde"),
+    "flow": ("builtins", "yde"),
+    "check": ("builtins", "yde", "calculus", "symmetry"),
+    "compose": ("builtins", "yde", "composition"),
+    "pde": ("builtins", "pde"),
+}
+_MODULE_OF = {name: module for module, names in _LAYER_NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a layer name's module on first use and bind the name here."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _bind(command: str) -> None:
+    for module in _COMMAND_LAYERS.get(command, ()):
+        for name in _LAYER_NAMES[module]:
+            if name not in globals():
+                __getattr__(name)
+
+
+# Exception classes that main maps to an exit code, by defining module.
+# Only loaded modules are asked: a class whose module was never imported
+# cannot have been raised.
+_USAGE_ERRORS = {"integrate": ("YoungConditionError",), "builtins": ("UnknownBuiltin",)}
+_NUMERIC_ERRORS = {"yde": ("BlowUpError", "NewtonError"),
+                   "drivers": ("GenerationError", "ResourceError"),
+                   "pde": ("CausticError", "InversionError")}
+
+
+def _loaded(classes: dict) -> tuple:
+    found = []
+    for module, names in classes.items():
+        mod = sys.modules.get(f"{__package__}.{module}")
+        if mod is not None:
+            found += [getattr(mod, name) for name in names]
+    return tuple(found)
 
 
 # --------------------------------------------------------- small parsers
@@ -222,7 +276,7 @@ def _cfg(args) -> SolveConfig:
 
 
 def cmd_solve(args) -> int:
-    field = bi.get_field(args.field, args.dim, _params(args.params))
+    field = get_field(args.field, args.dim, _params(args.params))
     X = yio.read_path_csv(args.driver)
     Y = solve_yde(field, X, _y0(args), _cfg(args))
     yio.write_path_csv(args.out, Y)
@@ -231,7 +285,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    field = bi.get_field(args.field, args.dim, _params(args.params))
+    field = get_field(args.field, args.dim, _params(args.params))
     X = yio.read_path_csv(args.driver)
     pts = _box(args.grid, args.dim, "--grid").points()
     flow = solve_flow(field, X, pts, _cfg(args), jacobian_history=False)  # never written
@@ -250,14 +304,14 @@ def cmd_check(args) -> int:
     kind = args.kind
     if kind == "chain":
         _require(kind, map=args.map, driver=args.driver)
-        g = bi.get_smooth_map(args.map, args.dim, _params(args.params))
+        g = get_smooth_map(args.map, args.dim, _params(args.params))
         Z = yio.read_path_csv(args.driver)
         rep = chain_rule_residual(g, Z, levels=args.levels, tag=args.tag)
         payload = _residual_payload(kind, rep)
     elif kind == "ito":
         _require(kind, map=args.map, driver_z=args.driver_z, driver_x=args.driver_x)
-        g0 = bi.get_smooth_map(args.map, args.dim, _params(args.params))
-        h = bi.get_time_map(args.time_map, args.dim)
+        g0 = get_smooth_map(args.map, args.dim, _params(args.params))
+        h = get_time_map(args.time_map, args.dim)
         Z = yio.read_path_csv(args.driver_z)
         X = yio.read_path_csv(args.driver_x)
         rep = ito_kunita_residual(g0, h, Z, X, levels=args.levels, tag=args.tag)
@@ -271,8 +325,8 @@ def cmd_check(args) -> int:
         payload = _residual_payload(kind, rep)
     elif kind == "conserved":
         _require(kind, field=args.field)
-        F = bi.get_observable(args.observable, args.dim)
-        field = bi.get_field(args.field, args.dim, _params(args.params))
+        F = get_observable(args.observable, args.dim)
+        field = get_field(args.field, args.dim, _params(args.params))
         if args.mode == "algebraic":
             rep = check_conserved_algebraic(F, field, _domain(args), tol=args.tol)
             payload = _check_payload(kind, rep)
@@ -283,8 +337,8 @@ def cmd_check(args) -> int:
             payload = _residual_payload(kind, rep)
     elif kind == "symmetry":
         _require(kind, map=args.map, field=args.field)
-        Phi = bi.get_point_map(args.map, args.dim, _params(args.map_params))
-        field = bi.get_field(args.field, args.dim, _params(args.params))
+        Phi = get_point_map(args.map, args.dim, _params(args.map_params))
+        field = get_field(args.field, args.dim, _params(args.params))
         if args.mode == "algebraic":
             rep = check_symmetry_map(Phi, field, _domain(args), tol=args.tol)
             payload = _check_payload(kind, rep)
@@ -295,8 +349,8 @@ def cmd_check(args) -> int:
             payload = _residual_payload(kind, rep)
     else:  # infinitesimal
         _require(kind, generator=args.generator, field=args.field)
-        g = bi.get_field(args.generator, args.dim, _params(args.generator_params))
-        field = bi.get_field(args.field, args.dim, _params(args.params))
+        g = get_field(args.generator, args.dim, _params(args.generator_params))
+        field = get_field(args.field, args.dim, _params(args.params))
         rep = check_infinitesimal_symmetry(
             g, field, _domain(args), flow_times=tuple(_floats(args.flow_times)),
             tol=args.tol, flow_tol=args.flow_tol)
@@ -307,8 +361,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    f = bi.get_field(args.outer_field, args.dim, _params(args.outer_params))
-    g = bi.get_field(args.inner_field, args.dim, _params(args.inner_params))
+    f = get_field(args.outer_field, args.dim, _params(args.outer_params))
+    g = get_field(args.inner_field, args.dim, _params(args.inner_params))
     U = yio.read_path_csv(args.outer_driver)
     X = yio.read_path_csv(args.inner_driver)
     y0 = _y0(args)
@@ -327,8 +381,8 @@ def cmd_compose(args) -> int:
 
 
 def _pde_inputs(args):
-    H = bi.get_hamiltonian(args.hamiltonian, args.dim, _params(args.params))
-    phi = bi.get_initial_data(args.init, args.dim, _params(args.init_params))
+    H = get_hamiltonian(args.hamiltonian, args.dim, _params(args.params))
+    phi = get_initial_data(args.init, args.dim, _params(args.init_params))
     X = yio.read_path_csv(args.driver)
     return H, phi, X, _box(args.box, args.dim, "--box")
 
@@ -544,19 +598,17 @@ def _config_argv(fname: str, argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    _bind(argv[0] if argv else "")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             args = parser.parse_args(argv + _config_argv(args.config, argv))
         return args.handler(args)
-    except (PathError, YoungConditionError, bi.UnknownBuiltin, OSError,
-            ValueError) as exc:
+    except (PathError, OSError, ValueError, *_loaded(_USAGE_ERRORS)) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (BlowUpError, NewtonError, GenerationError, ResourceError,
-            CausticError, InversionError, OverflowFailure,
-            np.linalg.LinAlgError) as exc:
+    except (OverflowFailure, np.linalg.LinAlgError, *_loaded(_NUMERIC_ERRORS)) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
     except Exception as exc:  # a fault of the program, yio.SchemaError included

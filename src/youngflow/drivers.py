@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import PathError, SampledPath
+from .paths import DETERMINISTIC_KINDS, PathError, SampledPath
 
 # Bump when the sampling algorithm or RNG contract changes; recorded in
 # generated metadata so stored paths can be traced to the generator.
@@ -142,9 +142,6 @@ def gen_fbm(spec: FbmSpec) -> SampledPath:
     times = np.linspace(0.0, spec.horizon, spec.n_points)
     values = np.concatenate([[0.0], np.cumsum(noise * step**spec.hurst)])
     return SampledPath(times, values)
-
-
-DETERMINISTIC_KINDS = ("linear", "power", "sine", "polygonal")
 
 
 @dataclass(frozen=True)

@@ -83,9 +83,20 @@ def write_path_csv(fname, path: SampledPath) -> None:
     _write_csv(fname, ["t"] + labels, [path.times, flat])
 
 
+def _reads_as_float(text: str) -> bool:
+    """Whether np.loadtxt reads the stripped cell text as a float: float()
+    does, and it holds no underscore or non-ASCII character, which float()
+    reads and loadtxt refuses."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.isascii() and "_" not in text
+
+
 def _refuse_bad_rows(fname, width: int) -> None:
     """PathError at the first data row of fname whose cell count is not
-    width or that holds a cell float() does not parse."""
+    width or that holds a cell np.loadtxt does not read."""
     with open(fname) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#")[0].strip()  # loadtxt skips comments and blank lines
@@ -96,11 +107,9 @@ def _refuse_bad_rows(fname, width: int) -> None:
                 raise PathError(f"{fname}: line {lineno} has {len(cells)} columns, "
                                 f"the header has {width}")
             for col, cell in enumerate(cells, start=1):
-                try:
-                    float(cell)
-                except ValueError:
+                if not _reads_as_float(cell.strip()):
                     raise PathError(f"{fname}: line {lineno}, column {col}: "
-                                    f"{cell.strip()!r} is not a number") from None
+                                    f"{cell.strip()!r} is not a number")
 
 
 def read_path_csv(fname) -> SampledPath:

@@ -1,4 +1,5 @@
-"""Sampled paths on finite time grids, p-variation, and grid surgery.
+"""Sampled paths on finite time grids, p-variation, grid surgery, and
+uniform box grids of points in up to three dimensions.
 
 A path is a finite sequence of values observed at strictly increasing
 times. All variation quantities are computed over partitions whose points
@@ -172,6 +173,51 @@ def dyadic_prefix(path: "SampledPath", levels: int) -> "SampledPath":
     if n_int == path.n_points - 1:
         return path
     return SampledPath(path.times[: n_int + 1], path.values[: n_int + 1])
+
+
+# The deterministic families of drivers.DeterministicSpec, kept here so
+# that the CLI parser can offer them to `gen` without importing drivers.
+DETERMINISTIC_KINDS = ("linear", "power", "sine", "polygonal")
+
+
+@dataclass(frozen=True)
+class GridBox:
+    """Axis-aligned uniform box grid, d <= 3."""
+
+    lower: tuple
+    upper: tuple
+    counts: tuple
+
+    def __post_init__(self):
+        lo, hi, ct = (np.atleast_1d(np.asarray(v)) for v in (self.lower, self.upper, self.counts))
+        if not (1 <= lo.size <= 3):
+            raise PathError("grid boxes support 1 <= d <= 3")
+        if lo.size != hi.size or lo.size != ct.size:
+            raise PathError("lower/upper/counts disagree in dimension")
+        if np.any(hi <= lo) or np.any(ct.astype(int) < 2):
+            raise PathError("need lower < upper and counts >= 2 per axis")
+        object.__setattr__(self, "lower", tuple(float(v) for v in lo))
+        object.__setattr__(self, "upper", tuple(float(v) for v in hi))
+        object.__setattr__(self, "counts", tuple(int(v) for v in ct))
+        axes = tuple(np.linspace(*spec) for spec in zip(self.lower, self.upper, self.counts))
+        for ax in axes:
+            ax.flags.writeable = False
+        object.__setattr__(self, "_axes", axes)
+
+    @property
+    def dim(self) -> int:
+        return len(self.counts)
+
+    @property
+    def n_points(self) -> int:
+        return int(np.prod(self.counts))
+
+    def axes(self) -> list:
+        return list(self._axes)
+
+    def points(self) -> np.ndarray:
+        grids = np.meshgrid(*self.axes(), indexing="ij")
+        return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
 @dataclass(frozen=True)

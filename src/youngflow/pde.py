@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fields import DEFAULT_FD_STEP, FieldSpec, SmoothMap, _fd_last_axis
-from .paths import PathError, SampledPath, dyadic_prefix, dyadic_steps
+from .paths import GridBox, PathError, SampledPath, dyadic_prefix, dyadic_steps
 from .reports import CheckReport, ResidualReport, residual_ladder
 from .yde import BlowUpError, SolveConfig, _euler_sweep
 
@@ -88,46 +88,6 @@ class HamiltonianSpec:
     @property
     def n_drivers(self) -> int:
         return len(self.components)
-
-
-@dataclass(frozen=True)
-class GridBox:
-    """Axis-aligned uniform box grid, d <= 3."""
-
-    lower: tuple
-    upper: tuple
-    counts: tuple
-
-    def __post_init__(self):
-        lo, hi, ct = (np.atleast_1d(np.asarray(v)) for v in (self.lower, self.upper, self.counts))
-        if not (1 <= lo.size <= 3):
-            raise PathError("grid boxes support 1 <= d <= 3")
-        if lo.size != hi.size or lo.size != ct.size:
-            raise PathError("lower/upper/counts disagree in dimension")
-        if np.any(hi <= lo) or np.any(ct.astype(int) < 2):
-            raise PathError("need lower < upper and counts >= 2 per axis")
-        object.__setattr__(self, "lower", tuple(float(v) for v in lo))
-        object.__setattr__(self, "upper", tuple(float(v) for v in hi))
-        object.__setattr__(self, "counts", tuple(int(v) for v in ct))
-        axes = tuple(np.linspace(*spec) for spec in zip(self.lower, self.upper, self.counts))
-        for ax in axes:
-            ax.flags.writeable = False
-        object.__setattr__(self, "_axes", axes)
-
-    @property
-    def dim(self) -> int:
-        return len(self.counts)
-
-    @property
-    def n_points(self) -> int:
-        return int(np.prod(self.counts))
-
-    def axes(self) -> list:
-        return list(self._axes)
-
-    def points(self) -> np.ndarray:
-        grids = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
 def _locate(box: GridBox, x: np.ndarray, offset=0):

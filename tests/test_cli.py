@@ -86,12 +86,50 @@ def _src_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def test_cli_import_leaves_scipy_out():
-    env = _src_env()
+def _loaded_after(code: str) -> list:
+    """The youngflow modules, and the heavy ones, loaded after code runs."""
     heavy = ["scipy", "concurrent.futures", "jsonschema", "referencing",
              "importlib.metadata"]
-    code = f"import sys, youngflow.cli; sys.exit(any(m in sys.modules for m in {heavy!r}))"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code += ("\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'youngflow'"
+             f" or m in {heavy!r}))")
+    res = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=_src_env(),
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return eval(res.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_out():
+    assert _loaded_after("import youngflow.cli") == [
+        "youngflow", "youngflow.cli", "youngflow.io", "youngflow.paths"]
+
+
+# The layers each subcommand of the benchmark's workloads runs, by module
+# (youngflow.<name>), besides youngflow, cli, io and paths. The heavy
+# modules of _loaded_after stay out too.
+@pytest.mark.parametrize("argv, layers", [
+    (["gen", "fbm", "--n", "65", "--seed", "1", "-o", "OUT.csv"], ["drivers"]),
+    (["pvar", "--p", "1.5", "--path", "LIN"], []),
+    (["integrate", "--integrand", "LIN", "--driver", "LIN"], ["integrate"]),
+    (["solve", "--field", "scaling", "--dim", "1", "--driver", "LIN", "--y0", "1",
+      "-o", "OUT.csv"], ["builtins", "fields", "yde"]),
+    (["flow", "--field", "rotation", "--dim", "2", "--driver", "LIN", "--grid=-1:1:3;-1:1:3",
+      "-o", "OUT"], ["builtins", "fields", "yde"]),
+    (["check", "chain", "--map", "exp", "--path", "LIN", "--levels", "3"],
+     ["builtins", "calculus", "fields", "integrate", "reports", "symmetry", "yde"]),
+    (["compose", "--outer-field", "scaling", "--outer-driver", "LIN", "--inner-field",
+      "scaling", "--inner-driver", "LIN", "--dim", "1", "--y0", "0.3", "--levels", "2"],
+     ["builtins", "composition", "fields", "reports", "yde"]),
+    (["pde", "caustic", "--hamiltonian", "transport-k", "--init", "sin", "--driver", "LIN",
+      "--box=-3:3:31"], ["builtins", "fields", "pde", "reports", "yde"]),
+], ids=["gen", "pvar", "integrate", "solve", "flow", "check", "compose", "pde"])
+def test_subcommand_loads_only_its_layers(workdir, lin17_csv, argv, layers):
+    argv = [lin17_csv if a == "LIN" else str(workdir / "mods_") + a if a.startswith("OUT")
+            else a for a in argv]
+    code = ("import contextlib, io\nfrom youngflow.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0")
+    assert _loaded_after(code) == sorted(
+        ["youngflow", "youngflow.cli", "youngflow.io", "youngflow.paths"]
+        + [f"youngflow.{name}" for name in layers])
 
 
 def test_gen_meta_sidecar(capsys, workdir):
@@ -458,6 +496,45 @@ def test_compose_overflow_prints_only_the_failure_line(workdir):
     assert res.stderr.startswith("numeric failure: ") and res.stderr.count("\n") == 1
 
 
+# One fresh process per class that main maps to exit 2 or 3: there, only
+# the modules the subcommand runs are loaded. OverflowFailure and compose's
+# BlowUpError have the fresh-process tests above. np.linalg.LinAlgError
+# subclasses ValueError, so a singular Newton step exits 2.
+@pytest.mark.parametrize("argv, code, line", [
+    (["solve", "--field", "nosuch", "--dim", "1", "--y0", "1", "--driver", "LIN", "-o", "OUT"],
+     2, "error: unknown field 'nosuch'; known: exp, rotation, scaling, square\n"),
+    (["integrate", "--integrand", "LIN", "--driver", "LIN", "--p", "2.5", "--q", "2.5"],
+     2, "error: need 1/p + 1/q > 1, got 0.8\n"),
+    (["solve", "--field", "square", "--dim", "1", "--driver", "LIN", "--y0", "1e200",
+      "-o", "OUT"], 3, "numeric failure: state became non-finite after t=0.0\n"),
+    (["compose", "--outer-field", "scaling", "--outer-driver", "LIN", "--inner-field", "square",
+      "--inner-driver", "LIN", "--dim", "1", "--y0", "0.3", "--levels", "1",
+      "--newton-tol", "1e-300"], 3, "numeric failure: compose rows unsettled after 50 sweeps"),
+    (["gen", "fbm", "--n", "101", "--seed", "1", "--max-points", "100", "-o", "OUT"],
+     3, "numeric failure: n_points=101 exceeds the size cap 100; raise max_points explicitly\n"),
+    (["pde", "residual", "--hamiltonian", "burgers-half-p-squared", "--init", "neg-half-square",
+      "--driver", "NEGLINE", "--box=-2:2:101", "--eval=-0.5:0.5:5", "--levels", "3"],
+     3, "numeric failure: no evaluation point stays valid over the horizon\n"),
+    (["compose", "--outer-field", "scaling", "--outer-driver", "LIN3", "--inner-field", "scaling",
+      "--inner-driver", "STEP", "--dim", "1", "--y0", "1", "--levels", "1"],
+     2, "error: Singular matrix\n"),
+], ids=["UnknownBuiltin", "YoungConditionError", "BlowUpError", "NewtonError", "ResourceError",
+        "CausticError", "LinAlgError"])
+def test_exit_code_in_a_fresh_process(workdir, lin17_csv, negline_csv, argv, code, line):
+    # STEP steps by -1, so the inner scaling flow's Jacobian is 1 - 1 = 0
+    times = np.linspace(0.0, 1.0, 3)
+    lin3, step = str(workdir / "lin3.csv"), str(workdir / "step.csv")
+    write_path_csv(lin3, youngflow.SampledPath(times, times))
+    write_path_csv(step, youngflow.SampledPath(times, -2.0 * times))
+    out = str(workdir / "never_fresh")
+    subs = {"LIN": lin17_csv, "NEGLINE": negline_csv, "LIN3": lin3, "STEP": step, "OUT": out}
+    res = subprocess.run([sys.executable, "-m", "youngflow.cli"] + [subs.get(a, a) for a in argv],
+                         env=_src_env(), capture_output=True, text=True)
+    assert res.returncode == code and res.stdout == ""
+    assert res.stderr.startswith(line) and res.stderr.count("\n") == 1
+    assert not os.path.exists(out)
+
+
 def test_fbm_over_size_cap_exits_three(capsys, workdir):
     # one point past the default cap of 2^20 + 1
     rc = main(["gen", "fbm", "--n", "1048578", "--seed", "1",
@@ -612,23 +689,15 @@ def test_ragged_csv_rows_exit_two_naming_the_line(capsys, workdir, rows, line, c
 
 
 def test_non_numeric_csv_cell_exits_two_naming_the_line(capsys, workdir):
+    # float() reads 1_0, １ and ١٢, np.loadtxt does not: the scan refuses
+    # them as well, so numpy's row-counting message never goes out
     bad = workdir / "badcell.csv"
-    bad.write_text("t,x1\n# a comment\n0,1\n1, abc\n2,3\n")
-    rc = main(["pvar", "--p", "2", "--path", str(bad)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err == f"error: {bad}: line 4, column 2: 'abc' is not a number\n"
-
-
-def test_csv_cell_only_loadtxt_refuses_keeps_its_error(capsys, workdir):
-    # float() reads 1_0 as 10, np.loadtxt does not: the scan finds no bad
-    # cell, and loadtxt's own error is reported
-    bad = workdir / "underscore.csv"
-    bad.write_text("t,x1\n0,1\n1,1_0\n")
-    rc = main(["pvar", "--p", "2", "--path", str(bad)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("error: could not convert string '1_0'")
+    for cell in ("abc", "1_0", "\uff11", "\u0661\u0662"):
+        bad.write_text(f"t,x1\n# a comment\n0,1\n1, {cell}\n2,3\n")
+        rc = main(["pvar", "--p", "2", "--path", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {bad}: line 4, column 2: {cell!r} is not a number\n"
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 64, 129])
@@ -735,23 +804,21 @@ def test_exception_escaping_a_handler_exits_four_without_traceback(
 # the library's contract, and is made here on purpose.
 PUBLIC_NAMES = [
     "BlowUpError", "CausticError", "CharStream", "CheckReport", "DeterministicSpec",
-    "DimensionMismatch", "FbmSpec", "FieldSpec", "FlowMap", "GenerationError",
-    "GridBox", "HamiltonianSpec", "IntegralResult", "InversionError", "NewtonError",
-    "Partition", "PathError", "PointMap", "ResidualReport", "ResourceError",
-    "SampleDomain", "SampledPath", "ScalarHamiltonian", "ScalarObservable", "SmoothMap",
-    "SolveConfig", "TimeDependentMap", "VariationResult", "YoungConditionError",
-    "as_single_field", "assemble_solution_field", "calculus", "chain_rule_residual",
-    "check_conserved_algebraic", "check_conserved_trajectory",
-    "check_infinitesimal_symmetry", "check_symmetry_map", "check_symmetry_trajectory",
-    "compose_flows", "composition", "drivers", "dyadic_prefix", "dyadic_steps",
-    "fbm_increment_covariance", "fbm_value_covariance", "fields", "fold_times",
-    "gen_deterministic", "gen_fbm", "holder_norm", "indefinite_integral", "integrate",
-    "interp_nodal", "invert_char_map", "ito_kunita_residual", "lie_bracket",
-    "make_check_report", "make_residual_report", "p_variation", "p_variation_norm",
-    "paths", "pde", "pde_residual", "propagate_observable", "reports",
+    "DimensionMismatch", "FbmSpec", "FieldSpec", "FlowMap", "GenerationError", "GridBox",
+    "HamiltonianSpec", "IntegralResult", "InversionError", "NewtonError", "Partition",
+    "PathError", "PointMap", "ResidualReport", "ResourceError", "SampleDomain",
+    "SampledPath", "ScalarHamiltonian", "ScalarObservable", "SmoothMap", "SolveConfig",
+    "TimeDependentMap", "VariationResult", "YoungConditionError", "as_single_field",
+    "assemble_solution_field", "chain_rule_residual", "check_conserved_algebraic",
+    "check_conserved_trajectory", "check_infinitesimal_symmetry", "check_symmetry_map",
+    "check_symmetry_trajectory", "compose_flows", "dyadic_prefix", "dyadic_steps",
+    "fbm_increment_covariance", "fbm_value_covariance", "fold_times", "gen_deterministic",
+    "gen_fbm", "holder_norm", "indefinite_integral", "interp_nodal", "invert_char_map",
+    "ito_kunita_residual", "lie_bracket", "make_check_report", "make_residual_report",
+    "p_variation", "p_variation_norm", "pde_residual", "propagate_observable",
     "residual_ladder", "seed_from_initial_data", "solve_flow", "solve_yde",
-    "substitution_residual", "symmetry", "verify_compatibility",
-    "verify_inverse_flow_equation", "yde", "young_integral", "young_loeve_bound",
+    "substitution_residual", "verify_compatibility", "verify_inverse_flow_equation",
+    "young_integral", "young_loeve_bound",
 ]
 
 
