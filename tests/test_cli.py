@@ -689,10 +689,19 @@ def test_ragged_csv_rows_exit_two_naming_the_line(capsys, workdir, rows, line, c
 
 
 def test_non_numeric_csv_cell_exits_two_naming_the_line(capsys, workdir):
+    bad = workdir / "badcell.csv"
+    bad.write_text("t,x1\n# a comment\n0,1\n1, abc\n2,3\n")
+    rc = main(["pvar", "--p", "2", "--path", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {bad}: line 4, column 2: 'abc' is not a number\n"
+
+
+def test_csv_cell_only_loadtxt_refuses_keeps_its_error(capsys, workdir):
     # float() reads 1_0, １ and ١٢, np.loadtxt does not: the scan refuses
     # them as well, so numpy's row-counting message never goes out
     bad = workdir / "badcell.csv"
-    for cell in ("abc", "1_0", "\uff11", "\u0661\u0662"):
+    for cell in ("1_0", "\uff11", "\u0661\u0662"):
         bad.write_text(f"t,x1\n# a comment\n0,1\n1, {cell}\n2,3\n")
         rc = main(["pvar", "--p", "2", "--path", str(bad)])
         err = capsys.readouterr().err
