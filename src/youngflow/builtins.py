@@ -31,14 +31,23 @@ def _diag_embed(vals: np.ndarray) -> np.ndarray:
     return out
 
 
+def _constant(block: np.ndarray):
+    """The evaluator y -> block at every leading index of y (..., d), as a
+    new array of shape y.shape[:-1] + block.shape."""
+    def at(y):
+        out = np.empty(y.shape[:-1] + block.shape)
+        out[...] = block
+        return out
+    return at
+
+
 # ---------------------------------------------------------------- fields
 
 def _field_scaling(dim: int) -> FieldSpec:
     return FieldSpec.autonomous(
         lambda y: y[..., :, None],
         in_dim=dim, driver_dim=1,
-        jac=lambda y: np.broadcast_to(
-            np.eye(dim)[..., :, None, :], y.shape + (1, dim)).copy(),
+        jac=_constant(np.eye(dim)[:, None, :]),
     )
 
 
@@ -67,8 +76,7 @@ def _field_rotation(dim: int) -> FieldSpec:
     return FieldSpec.autonomous(
         lambda y: (y @ _ROT.T)[..., :, None],
         in_dim=2, driver_dim=1,
-        jac=lambda y: np.broadcast_to(
-            _ROT[:, None, :], y.shape[:-1] + (2, 1, 2)).copy(),
+        jac=_constant(_ROT[:, None, :]),
     )
 
 
@@ -86,7 +94,7 @@ def _map_identity(dim: int) -> SmoothMap:
     return SmoothMap(
         in_dim=dim, out_dim=dim,
         value=lambda x: x,
-        jacobian=lambda x: np.broadcast_to(np.eye(dim), x.shape + (dim,)).copy(),
+        jacobian=_constant(np.eye(dim)),
     )
 
 
@@ -130,7 +138,7 @@ def _pm_rotation(dim: int, angle: float = np.pi / 2) -> PointMap:
     return PointMap(
         in_dim=2, out_dim=2,
         value=lambda x: x @ R.T,
-        jacobian=lambda x: np.broadcast_to(R, x.shape + (2,)).copy(),
+        jacobian=_constant(R),
     )
 
 
@@ -138,7 +146,7 @@ def _pm_scaling(dim: int, factor: float = 2.0) -> PointMap:
     return PointMap(
         in_dim=dim, out_dim=dim,
         value=lambda x: factor * x,
-        jacobian=lambda x: np.broadcast_to(factor * np.eye(dim), x.shape + (dim,)).copy(),
+        jacobian=_constant(factor * np.eye(dim)),
     )
 
 
@@ -147,7 +155,7 @@ def _pm_translation(dim: int, offset: float = 1.0) -> PointMap:
     return PointMap(
         in_dim=dim, out_dim=dim,
         value=lambda x: x + shift,
-        jacobian=lambda x: np.broadcast_to(np.eye(dim), x.shape + (dim,)).copy(),
+        jacobian=_constant(np.eye(dim)),
     )
 
 
@@ -275,9 +283,8 @@ def get_field(name: str, dim: int, params: dict | None = None) -> FieldSpec:
 
 
 def get_smooth_map(name: str, dim: int, params: dict | None = None) -> SmoothMap:
-    if name in SMOOTH_MAPS:
-        return _lookup(SMOOTH_MAPS, "map", name, dim, params)
-    return _lookup(OBSERVABLES, "map", name, dim, params)
+    """A smooth map or an observable by name."""
+    return _lookup({**OBSERVABLES, **SMOOTH_MAPS}, "map", name, dim, params)
 
 
 def get_observable(name: str, dim: int, params: dict | None = None) -> ScalarObservable:

@@ -605,12 +605,13 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             args = parser.parse_args(argv + _config_argv(args.config, argv))
         return args.handler(args)
+    except (OverflowFailure, np.linalg.LinAlgError, *_loaded(_NUMERIC_ERRORS)) as exc:
+        # before the usage errors: np.linalg.LinAlgError subclasses ValueError
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return NUMERIC_EXIT
     except (PathError, OSError, ValueError, *_loaded(_USAGE_ERRORS)) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (OverflowFailure, np.linalg.LinAlgError, *_loaded(_NUMERIC_ERRORS)) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return NUMERIC_EXIT
     except Exception as exc:  # a fault of the program, yio.SchemaError included
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_EXIT

@@ -15,8 +15,8 @@ import numpy as np
 from .fields import FieldSpec
 from .paths import PathError, SampledPath
 from .reports import residual_ladder
-from .yde import (BlowUpError, NewtonError, SolveConfig, _apply, _euler_sweep, solve_yde,
-                  substep_grid)
+from .yde import (BlowUpError, NewtonError, SolveConfig, _apply, _euler_core, _euler_sweep,
+                  _raise_blow_up, solve_yde, substep_grid)
 
 
 def _diagonal_flow(g: FieldSpec, X: SampledPath, seeds: np.ndarray, cfg: SolveConfig,
@@ -43,6 +43,19 @@ def _diagonal_flow(g: FieldSpec, X: SampledPath, seeds: np.ndarray, cfg: SolveCo
     return out
 
 
+def _start_flow(g: FieldSpec, X: SampledPath, y0: np.ndarray, cfg: SolveConfig):
+    """_diagonal_flow(g, X, seeds, cfg, with_jacobian=True) with y0 as the
+    seed of each of the first n - 1 grid points of X, from one trajectory.
+
+    Every row starts at y0 and the kernel is row-wise, so row i is the
+    trajectory from y0 read at t_i, and it dies where the trajectory does.
+    """
+    n = X.n_points - 1
+    (W, J), alive_idx = _euler_core(g, X, y0[None, :], cfg, with_jacobian=True, n=n)
+    _raise_blow_up(X, alive_idx, n)
+    return [W[:, 0], J[:, 0]]
+
+
 def _combined_interval(g: FieldSpec, ts, dx, du, state, pf):
     """Euler substeps of dZ = g(Z) dX + pf dU, pf frozen at the left end."""
     for t in ts:
@@ -57,11 +70,12 @@ def _direct_combined(f: FieldSpec, U: SampledPath, g: FieldSpec, X: SampledPath,
 
     Each row i < n-1 carries a preimage x_i of z_i, checked against the
     exact W_i = Y_{t_i}(x_i) and J_i = D_x Y_{t_i}(x_i) of one diagonal
-    kernel call. A sweep runs in time order from the first unsettled row:
-    x_i takes one Newton step when |W_i - z_i| > newton_tol, and z steps
-    with the pushforward J_i f(t_i, x_i). Row i is settled when, at the
-    new x, |W_i - z_i| <= newton_tol and J_i is bitwise the Jacobian its
-    step used; then z is the Euler path whose pushforward uses D_x Y at
+    kernel call (of _start_flow while every x_i is y0). A sweep runs in
+    time order from the first unsettled row: x_i takes one Newton step
+    when |W_i - z_i| > newton_tol, and z steps with the pushforward
+    J_i f(t_i, x_i). Row i is settled when, at the new x,
+    |W_i - z_i| <= newton_tol and J_i is bitwise the Jacobian its step
+    used; then z is the Euler path whose pushforward uses D_x Y at
     preimages within tolerance. Rows still unsettled after max_sweeps
     sweeps raise NewtonError.
     """
@@ -72,7 +86,7 @@ def _direct_combined(f: FieldSpec, U: SampledPath, g: FieldSpec, X: SampledPath,
     xs = np.broadcast_to(y0, (n - 1, y0.size)).copy()
     zs = np.empty((n, y0.size))
     zs[0] = y0
-    W, J = _diagonal_flow(g, X, xs, cfg, with_jacobian=True)
+    W, J = _start_flow(g, X, y0, cfg)
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_sweeps):

@@ -282,14 +282,29 @@ def read_json(fname) -> dict:
 # ----------------------------------------------- composite disk layouts
 
 def write_flow_map(dirpath, flow, stem: str = "flow") -> dict:
-    """One trajectory CSV per initial point plus a JSON index."""
+    """One trajectory CSV per initial point plus a JSON index.
+
+    Each file holds the bytes write_path_csv gives for its trajectory. The
+    files are written a block of rows at a time, and the shared `t` column
+    of a block is formatted once, into the row template of every file.
+    """
     import os
     os.makedirs(dirpath, exist_ok=True)
-    files = []
-    for i in range(flow.initial_points.shape[0]):
-        name = f"{stem}_{i:04d}.csv"
-        write_path_csv(os.path.join(dirpath, name), flow.trajectory(i))
-        files.append(name)
+    if not np.isfinite(flow.states).all():
+        raise PathError("values must be finite")  # as write_path_csv's SampledPath
+    m, d = flow.states.shape[1:]
+    files = [f"{stem}_{i:04d}.csv" for i in range(m)]
+    paths = [os.path.join(dirpath, name) for name in files]
+    value_cells = "," + ",".join([FLOAT_FMT] * d) + "\n"
+    for a in range(0, flow.times.size, _CSV_BLOCK_ROWS):
+        times = (FLOAT_FMT % t for t in flow.times[a:a + _CSV_BLOCK_ROWS].tolist())
+        rows = "".join([t + value_cells for t in times])  # no '%' in a formatted float
+        block = flow.states[a:a + _CSV_BLOCK_ROWS]
+        for i, path in enumerate(paths):
+            with open(path, "a" if a else "w") as fh:
+                if not a:
+                    fh.write(",".join(["t"] + _vector_labels(d)) + "\n")
+                fh.write(rows % tuple(block[:, i].ravel().tolist()))
     payload = {
         "files": files,
         "initial_points": flow.initial_points.tolist(),

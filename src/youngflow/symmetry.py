@@ -10,7 +10,7 @@ from .fields import FieldSpec, PointMap, ScalarObservable, as_single_field
 from .integrate import indefinite_integral
 from .paths import PathError, SampledPath
 from .reports import CheckReport, ResidualReport, make_check_report, residual_ladder
-from .yde import SolveConfig, solve_yde, _euler_core
+from .yde import SolveConfig, _check_compat, _euler_core, _raise_blow_up, solve_yde
 
 # Algebraic identities are held to a tighter tolerance when all
 # derivatives involved are analytic rather than finite-differenced.
@@ -111,13 +111,19 @@ def check_symmetry_trajectory(Phi: PointMap, fields, X: SampledPath, y0,
                               levels: int = 4) -> ResidualReport:
     """sup_t || Phi(Y_t(y0)) - Y_t(Phi(y0)) || per dyadic level."""
     f = as_single_field(fields)
+    cfg = cfg or SolveConfig()
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
 
     def level(step, Xk):
-        Y = solve_yde(f, Xk, y0, cfg)
-        Yphi = solve_yde(f, Xk, Phi.value_at(y0), cfg)
-        mapped = Phi.value_at(Y.values)
-        return (Xk.mesh, float(np.max(np.linalg.norm(mapped - Yphi.values, axis=1))),
+        # Y(y0) and Y(Phi(y0)) as the two rows of one sweep; the kernel is
+        # row-wise, so each row is its own solve_yde bit for bit, and Phi
+        # maps row 0 as one contiguous array, as it mapped solve_yde's values
+        _check_compat(f, Xk)
+        (states,), alive_idx = _euler_core(f, Xk, np.stack([y0, Phi.value_at(y0)]), cfg,
+                                           with_jacobian=False)
+        _raise_blow_up(Xk, alive_idx, Xk.n_points)
+        mapped = Phi.value_at(np.ascontiguousarray(states[:, 0]))
+        return (Xk.mesh, float(np.max(np.linalg.norm(mapped - states[:, 1], axis=1))),
                 float(np.max(np.abs(mapped))))
 
     return residual_ladder(X, levels, level)

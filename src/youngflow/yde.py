@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import FieldSpec
 from .paths import PathError, SampledPath
+
+# np.einsum without optimize calls this contraction behind a dispatch
+# layer that costs more than the contraction on the few rows of an Euler
+# step; the sweeps call it directly, with the same bits.
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _einsum
 
 
 class BlowUpError(ArithmeticError):
@@ -59,7 +68,7 @@ def substep_grid(X: SampledPath, sub: int, n: int | None = None):
 def _apply(F: np.ndarray, dx: np.ndarray) -> np.ndarray:
     # One fixed kernel for field-times-increment in every Euler sweep, so
     # degenerate routes agree bitwise.
-    return np.einsum("mdn,n->md", F, dx)
+    return _einsum("mdn,n->md", F, dx)
 
 
 def _freeze_rows(new: list, i: int, alive: np.ndarray, alive_idx: np.ndarray,
@@ -94,27 +103,37 @@ def _euler_sweep(field: FieldSpec, X: SampledPath, y0s: np.ndarray, cfg: SolveCo
     is expected: the caller advances the sweep under np.errstate.
     """
     ts, dx = substep_grid(X, cfg.substeps_per_interval, n)
+    value_at, jacobian_at = field.value_at, field.jacobian_at
     y = np.array(np.atleast_2d(y0s), dtype=float)
     m, d = y.shape
     cur = [y] + ([np.broadcast_to(np.eye(d), (m, d, d)).copy()] if with_jacobian else [])
     alive = np.ones(m, dtype=bool)
+    all_alive = True
     yield cur
     for i in range(n - 1):
         y, jac = cur[0], cur[-1]
-        for t in ts[i]:
+        dxi = dx[i]
+        for t in ts[i].tolist():  # per interval: a list of the whole grid grows with n
             if with_jacobian:
-                step_lin = np.einsum("mdnk,n->mdk", field.jacobian_at(t, y), dx[i])
-                jac = jac + np.einsum("mde,mek->mdk", step_lin, jac)
-            y = y + _apply(field.value_at(t, y), dx[i])
-        cur = _freeze_rows([y, jac] if with_jacobian else [y], i, alive, alive_idx, cur)
+                step_lin = _einsum("mdnk,n->mdk", jacobian_at(t, y), dxi)
+                jac = jac + _einsum("mde,mek->mdk", step_lin, jac)
+            y = y + _apply(value_at(t, y), dxi)
+        new = [y, jac] if with_jacobian else [y]
+        # while every row lives, a finite sum shows that every entry is finite
+        if all_alive and math.isfinite(sum([np.add.reduce(v, None) for v in new])):
+            cur = new
+        else:
+            cur = _freeze_rows(new, i, alive, alive_idx, cur)
+            all_alive = bool(alive.all())
         yield cur
 
 
 def _euler_core(field: FieldSpec, X: SampledPath, y0s: np.ndarray, cfg: SolveConfig,
-                with_jacobian: bool, history: int = 2):
-    """([states] or [states, jacobians], alive_idx) of _euler_sweep over X;
-    the first `history` arrays hold every row (n, m, ...), the rest their last."""
-    n = X.n_points
+                with_jacobian: bool, history: int = 2, n: int | None = None):
+    """([states] or [states, jacobians], alive_idx) of _euler_sweep over the
+    first n grid points of X (all by default); the first `history` arrays
+    hold every row (n, m, ...), the rest their last."""
+    n = X.n_points if n is None else n
     alive_idx = np.full(np.atleast_2d(y0s).shape[0], n - 1, dtype=int)
     sweep = _euler_sweep(field, X, y0s, cfg, with_jacobian, n, alive_idx)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -132,9 +151,16 @@ def solve_yde(field: FieldSpec, X: SampledPath, y0, cfg: SolveConfig | None = No
     _check_compat(field, X)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     (states,), alive_idx = _euler_core(field, X, y0[None, :], cfg, with_jacobian=False)
-    if alive_idx[0] != X.n_points - 1:
-        raise BlowUpError(float(X.times[alive_idx[0]]))
+    _raise_blow_up(X, alive_idx, X.n_points)
     return SampledPath(X.times, states[:, 0, :])
+
+
+def _raise_blow_up(X: SampledPath, alive_idx: np.ndarray, n: int) -> None:
+    """BlowUpError for the first row, in row order, of a sweep over the
+    first n grid points of X that did not stay finite to the end."""
+    for k in alive_idx:
+        if k != n - 1:
+            raise BlowUpError(float(X.times[k]))
 
 
 @dataclass(frozen=True)

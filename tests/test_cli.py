@@ -247,6 +247,11 @@ def test_unknown_builtin_exits_two(capsys, lin17_csv):
     rc = main(["check", "chain", "--g", "nosuchmap", "--path", lin17_csv])
     capsys.readouterr()
     assert rc == 2
+    # --map takes a smooth map or an observable, and the message names both kinds
+    rc = main(["check", "chain", "--map", "nosuchmap", "--path", lin17_csv])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: unknown map 'nosuchmap'; known: exp, identity, norm2, sin, square\n")
 
 
 @pytest.mark.parametrize("argv, accepted", [
@@ -499,7 +504,7 @@ def test_compose_overflow_prints_only_the_failure_line(workdir):
 # One fresh process per class that main maps to exit 2 or 3: there, only
 # the modules the subcommand runs are loaded. OverflowFailure and compose's
 # BlowUpError have the fresh-process tests above. np.linalg.LinAlgError
-# subclasses ValueError, so a singular Newton step exits 2.
+# subclasses ValueError, yet a singular Newton step is a numeric failure.
 @pytest.mark.parametrize("argv, code, line", [
     (["solve", "--field", "nosuch", "--dim", "1", "--y0", "1", "--driver", "LIN", "-o", "OUT"],
      2, "error: unknown field 'nosuch'; known: exp, rotation, scaling, square\n"),
@@ -517,7 +522,7 @@ def test_compose_overflow_prints_only_the_failure_line(workdir):
      3, "numeric failure: no evaluation point stays valid over the horizon\n"),
     (["compose", "--outer-field", "scaling", "--outer-driver", "LIN3", "--inner-field", "scaling",
       "--inner-driver", "STEP", "--dim", "1", "--y0", "1", "--levels", "1"],
-     2, "error: Singular matrix\n"),
+     3, "numeric failure: Singular matrix\n"),
 ], ids=["UnknownBuiltin", "YoungConditionError", "BlowUpError", "NewtonError", "ResourceError",
         "CausticError", "LinAlgError"])
 def test_exit_code_in_a_fresh_process(workdir, lin17_csv, negline_csv, argv, code, line):

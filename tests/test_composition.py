@@ -84,11 +84,13 @@ def test_routes_converge_on_rough_drivers():
 def test_linear_inner_field_settles_in_one_sweep(monkeypatch):
     # a linear inner flow has a Jacobian that does not depend on x, so the
     # one Newton step per row of the first sweep settles every row: one
-    # kernel call with Jacobians to start and one to check, per level
+    # trajectory with Jacobians to start and one kernel call to check, per level
     calls = []
-    real = composition._diagonal_flow
+    real, start = composition._diagonal_flow, composition._start_flow
     monkeypatch.setattr(composition, "_diagonal_flow",
                         lambda *a, **k: calls.append(k["with_jacobian"]) or real(*a, **k))
+    monkeypatch.setattr(composition, "_start_flow",
+                        lambda *a: calls.append("start") or start(*a))
     U = gen_fbm(FbmSpec(hurst=0.75, n_points=257, seed=11))
     X = gen_fbm(FbmSpec(hurst=0.75, n_points=257, seed=12))
     g = get_field("scaling", dim=1)
@@ -96,7 +98,7 @@ def test_linear_inner_field_settles_in_one_sweep(monkeypatch):
         calls.clear()
         _, _, rep = compose_flows(f, U, g, X, 0.3, levels=3)
         assert rep.converged
-        assert calls == [False, True, True] * 3
+        assert calls == [False, "start", True] * 3
 
 
 def test_nonlinear_inner_field_matches_closed_form():

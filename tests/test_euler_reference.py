@@ -37,8 +37,10 @@ from youngflow import (
     solve_flow,
     solve_yde,
 )
-from youngflow.builtins import get_field
+from youngflow.builtins import get_field, get_point_map
 from youngflow.io import write_flow_map, write_path_csv
+from youngflow.symmetry import check_symmetry_trajectory
+from youngflow.yde import BlowUpError
 
 # ------------------------------------------------------------- reference
 
@@ -335,6 +337,77 @@ def test_diagonal_flow_rows_are_fresh_solves(sub):
     assert np.array_equal(vals, got[:40])
     assert np.array_equal(vals, ref_vals)
     assert np.array_equal(jacs, ref_jacs)
+
+
+def _ramp(slope, n=257):
+    X = gen_deterministic(DeterministicSpec(kind="linear", n_points=n))
+    return SampledPath(X.times, slope * X.values)
+
+
+@pytest.mark.parametrize("sub", SUBSTEPS)
+@pytest.mark.parametrize("field, X, y0", [
+    (_timed_field(), _fbm2(65, 7), (0.3, -0.2)),
+    (get_field("scaling", dim=1), gen_fbm(FbmSpec(hurst=0.75, n_points=2049, seed=4)), (1.0,)),
+    (get_field("square", dim=1), _ramp(4.0), (0.3,)),
+    # dY = Y^2 dX with X_t = 4t: every row from 1 dies near t = 1/4
+    (get_field("square", dim=1), _ramp(4.0), (1.0,)),
+], ids=["timed-2d", "scaling-2049", "square", "square-dies"])
+def test_compose_start_is_the_diagonal_flow_from_y0(sub, field, X, y0):
+    y0 = np.array(y0)
+    seeds = np.tile(y0, (X.n_points - 1, 1))
+    try:
+        want = composition._diagonal_flow(field, X, seeds, _cfg(sub), with_jacobian=True)
+    except BlowUpError as exc:
+        with pytest.raises(BlowUpError) as got:
+            composition._start_flow(field, X, y0, _cfg(sub))
+        assert got.value.last_valid_time == exc.last_valid_time < X.times[-2]
+        return
+    vals, jacs = composition._start_flow(field, X, y0, _cfg(sub))
+    assert np.array_equal(vals, want[0])
+    assert np.array_equal(jacs, want[1])
+
+
+def _ref_symmetry_trajectory(Phi, f, X, y0, sub, levels):
+    """The residual ladder from two solve_yde calls per level."""
+    rows = []
+    for step in [2 ** (levels - 1 - k) for k in range(levels)]:
+        Xk = X.subsample(step)
+        Y = solve_yde(f, Xk, y0, _cfg(sub))
+        Yphi = solve_yde(f, Xk, Phi.value_at(y0), _cfg(sub))
+        mapped = Phi.value_at(Y.values)
+        rows.append((Xk.mesh, float(np.max(np.linalg.norm(mapped - Yphi.values, axis=1))),
+                     float(np.max(np.abs(mapped)))))
+    return make_residual_report([r[:2] for r in rows], scale=max(r[2] for r in rows))
+
+
+@pytest.mark.parametrize("sub", SUBSTEPS)
+@pytest.mark.parametrize("field, Phi, X, y0", [
+    (get_field("rotation", dim=2), get_point_map("rotation", 2, {"angle": 0.7}),
+     gen_fbm(FbmSpec(hurst=0.75, n_points=257, seed=8)), (0.5, 0.5)),
+    (_timed_field(), get_point_map("rotation", 2, {"angle": 0.7}), _fbm2(65, 9), (0.3, -0.2)),
+    (get_field("square", dim=1), get_point_map("scaling", 1, {"factor": 2.0}),
+     gen_fbm(FbmSpec(hurst=0.75, n_points=129, seed=10)), (0.2,)),
+], ids=["rotation", "timed-2d", "square"])
+def test_symmetry_trajectory_matches_two_solves(sub, field, Phi, X, y0):
+    y0 = np.array(y0)
+    rep = check_symmetry_trajectory(Phi, field, X, y0, _cfg(sub), levels=3)
+    assert rep == _ref_symmetry_trajectory(Phi, field, X, y0, sub, 3)
+
+
+@pytest.mark.parametrize("sub", SUBSTEPS)
+@pytest.mark.parametrize("y0, factor", [
+    (0.1, 20.0),  # only the row from Phi(y0) = 2 dies, near t = 1/8
+    (0.5, 4.0),  # both die, the row from Phi(y0) = 2 first; y0's row is reported
+])
+def test_symmetry_trajectory_blow_up_matches_two_solves(sub, y0, factor):
+    field, X = get_field("square", dim=1), _ramp(4.0)
+    Phi = get_point_map("scaling", 1, {"factor": factor})
+    with pytest.raises(BlowUpError) as want:
+        _ref_symmetry_trajectory(Phi, field, X, np.array([y0]), sub, 3)
+    with pytest.raises(BlowUpError) as got:
+        check_symmetry_trajectory(Phi, field, X, [y0], _cfg(sub), levels=3)
+    assert got.value.last_valid_time == want.value.last_valid_time
+    assert str(got.value) == str(want.value)
 
 
 def _ref_compose(f, U, g, X, y0, sub, levels):

@@ -17,6 +17,7 @@ from youngflow.cli import main
 from youngflow import (
     CharStream,
     FbmSpec,
+    FlowMap,
     GridBox,
     PathError,
     SampledPath,
@@ -198,6 +199,43 @@ def test_slice_csv_bytes_match_savetxt(tmp_path, k):
         _savetxt(tmp_path / "old.csv", ["x1", "x2", "u", "du1", "du2"],
                  [sol.points, u[r], du[r]])
         assert (tmp_path / "sol" / name).read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (_B + 1, 2), (2 * _B + 3, 3)])
+def test_flow_map_bytes_match_path_csv(tmp_path, n, d):
+    times = np.linspace(0.0, 3.0, n) ** 1.5
+    states = _rows(n, 4 * d, n).reshape(n, 4, d)
+    flow = FlowMap(times=times, initial_points=states[0], states=states, jacobians=None,
+                   alive_until=np.full(4, times[-1]))
+    index = write_flow_map(tmp_path / "flow", flow)
+    assert len(index["files"]) == 4
+    for i, name in enumerate(index["files"]):
+        write_path_csv(tmp_path / "one.csv", flow.trajectory(i))
+        assert (tmp_path / "flow" / name).read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_flow_map_memory_is_bounded(tmp_path):
+    # 2^18 + 1 points: one file's text would be ~11 MB
+    n = 2 ** 18 + 1
+    states = np.random.default_rng(2).standard_normal((n, 2, 1))
+    flow = FlowMap(times=np.linspace(0.0, 1.0, n), initial_points=states[0], states=states,
+                   jacobians=None, alive_until=np.ones(2))
+    tracemalloc.start()
+    try:
+        write_flow_map(tmp_path / "flow", flow)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert read_path_csv(tmp_path / "flow" / "flow_0001.csv").values[-1, 0] == states[-1, 1, 0]
+
+
+def test_flow_map_refuses_non_finite_states(tmp_path):
+    states = np.array([[[1.0]], [[np.nan]]])
+    flow = FlowMap(times=np.array([0.0, 1.0]), initial_points=states[0], states=states,
+                   jacobians=None, alive_until=np.ones(1))
+    with pytest.raises(PathError, match="values must be finite"):
+        write_flow_map(tmp_path / "flow", flow)
 
 
 def test_path_csv_memory_is_bounded(tmp_path):

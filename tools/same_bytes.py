@@ -8,9 +8,12 @@ Both revisions are extracted with bench_pairs.py's `extract` into DIR
 bench/workloads.py makes its inputs once, and each tree runs every call
 of the workload as a CLI call from its own `src/`. Three extra `pde`
 calls run as well: a folding `solve` with two substeps, a 2-d `caustic`
-and a 2-d `residual`; and two extra `yde` calls: a `flow` with two
-substeps on a ramp that kills some of its rows, and a `compose` with the
-nonlinear inner field `square`, which relaxes in more than one sweep. The output files are compared with bench/run.py's
+and a 2-d `residual`; and four extra `yde` calls: a `flow` with two
+substeps on a ramp that kills some of its rows, a `compose` with the
+nonlinear inner field `square`, which relaxes in more than one sweep, a
+`check symmetry --mode trajectory` on the ramp in which only the row from
+Phi(y0) blows up, and a `check infinitesimal` with the nonlinear
+generator `square`. The output files are compared with bench/run.py's
 `snapshot` (JSON up to `meta.created`, anything else byte for byte), and
 each call's exit code, standard output and standard error are compared
 with the tree's path masked. Prints one line per difference and exits 1
@@ -64,7 +67,8 @@ def pde_extra(seed: int, indir: Path) -> Workload:
 
 
 def yde_extra(seed: int, indir: Path) -> Workload:
-    """A flow whose rows partly blow up, and a nonlinear compose."""
+    """A flow whose rows partly blow up, a nonlinear compose, a symmetry
+    check that fails by blow-up and a nonlinear infinitesimal check."""
     rng = np.random.default_rng([seed, 5])
     ramp, outer, inner = indir / "ramp.csv", indir / "outer.csv", indir / "inner.csv"
     times = np.linspace(0.0, 1.0, 257)
@@ -78,6 +82,12 @@ def yde_extra(seed: int, indir: Path) -> Workload:
         ["compose", "--outer-field", "scaling", "--outer-driver", str(outer),
          "--inner-field", "square", "--inner-driver", str(inner), "--dim", "1",
          "--y0", "0.3", "--levels", "3", "-o", "compose_square.json"],
+        # the row from y0 = 0.1 lives to t = 1; the row from Phi(y0) = 2 dies
+        ["check", "symmetry", "--map", "scaling", "--map-params", "factor=20", "--field",
+         "square", "--dim", "1", "--mode", "trajectory", "--driver", str(ramp), "--y0", "0.1",
+         "--levels", "3", "-o", "symmetry_dying.json"],
+        ["check", "infinitesimal", "--generator", "square", "--field", "exp", "--dim", "2",
+         "--domain=-1:0.5", "-o", "infinitesimal_square.json"],
     )
     return Workload("yde_extra", calls, lambda out: [])
 
