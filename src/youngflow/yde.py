@@ -15,8 +15,8 @@ from .paths import PathError, SampledPath
 # step; the sweeps call it directly, with the same bits.
 try:
     from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import c_einsum as _einsum
+except ImportError:  # a numpy without that module: the public function
+    _einsum = np.einsum
 
 
 class BlowUpError(ArithmeticError):

@@ -339,18 +339,12 @@ def test_diagonal_flow_rows_are_fresh_solves(sub):
     assert np.array_equal(jacs, ref_jacs)
 
 
-def _ramp(slope, n=257):
-    X = gen_deterministic(DeterministicSpec(kind="linear", n_points=n))
-    return SampledPath(X.times, slope * X.values)
-
-
 @pytest.mark.parametrize("sub", SUBSTEPS)
 @pytest.mark.parametrize("field, X, y0", [
     (_timed_field(), _fbm2(65, 7), (0.3, -0.2)),
     (get_field("scaling", dim=1), gen_fbm(FbmSpec(hurst=0.75, n_points=2049, seed=4)), (1.0,)),
-    (get_field("square", dim=1), _ramp(4.0), (0.3,)),
-    # dY = Y^2 dX with X_t = 4t: every row from 1 dies near t = 1/4
-    (get_field("square", dim=1), _ramp(4.0), (1.0,)),
+    (get_field("square", dim=1), _dying_driver(), (0.2,)),
+    (get_field("square", dim=1), _dying_driver(), (1.0,)),  # every row dies near t = 1/4
 ], ids=["timed-2d", "scaling-2049", "square", "square-dies"])
 def test_compose_start_is_the_diagonal_flow_from_y0(sub, field, X, y0):
     y0 = np.array(y0)
@@ -400,7 +394,7 @@ def test_symmetry_trajectory_matches_two_solves(sub, field, Phi, X, y0):
     (0.5, 4.0),  # both die, the row from Phi(y0) = 2 first; y0's row is reported
 ])
 def test_symmetry_trajectory_blow_up_matches_two_solves(sub, y0, factor):
-    field, X = get_field("square", dim=1), _ramp(4.0)
+    field, X = get_field("square", dim=1), _dying_driver()
     Phi = get_point_map("scaling", 1, {"factor": factor})
     with pytest.raises(BlowUpError) as want:
         _ref_symmetry_trajectory(Phi, field, X, np.array([y0]), sub, 3)
