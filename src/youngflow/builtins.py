@@ -199,12 +199,13 @@ def _ham_transport(dim: int, k: float | tuple = 1.0) -> HamiltonianSpec:
     from .pde import HamiltonianSpec, ScalarHamiltonian
 
     kv = np.broadcast_to(np.asarray(k, dtype=float), (dim,)).copy()
+    k_rows = _constant(kv)
 
     comp = ScalarHamiltonian(
         value=lambda t, x, u, p: p @ kv,
-        dx=lambda t, x, u, p: np.zeros_like(x),
-        du=lambda t, x, u, p: np.zeros_like(u),
-        dp=lambda t, x, u, p: np.broadcast_to(kv, p.shape).copy(),
+        dx=lambda t, x, u, p: np.zeros(x.shape),
+        du=lambda t, x, u, p: np.zeros(u.shape),
+        dp=lambda t, x, u, p: k_rows(p),
     )
     return HamiltonianSpec(state_dim=dim, components=(comp,))
 
@@ -213,9 +214,9 @@ def _ham_burgers(dim: int) -> HamiltonianSpec:
     from .pde import HamiltonianSpec, ScalarHamiltonian
 
     comp = ScalarHamiltonian(
-        value=lambda t, x, u, p: 0.5 * np.sum(p ** 2, axis=-1),
-        dx=lambda t, x, u, p: np.zeros_like(x),
-        du=lambda t, x, u, p: np.zeros_like(u),
+        value=lambda t, x, u, p: 0.5 * np.add.reduce(p ** 2, axis=-1),  # np.sum's kernel
+        dx=lambda t, x, u, p: np.zeros(x.shape),
+        du=lambda t, x, u, p: np.zeros(u.shape),
         dp=lambda t, x, u, p: p.copy(),
     )
     return HamiltonianSpec(state_dim=dim, components=(comp,))

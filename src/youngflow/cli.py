@@ -159,7 +159,10 @@ def _box(text: str, dim: int, flag: str) -> GridBox:
         counts.append(int(parts[2]))
     if len(counts) != dim:
         raise PathError(f"{flag} needs {dim} axes for --dim {dim}, got {len(counts)}")
-    return GridBox(tuple(lows), tuple(highs), tuple(counts))
+    try:
+        return GridBox(tuple(lows), tuple(highs), tuple(counts))
+    except PathError as exc:
+        raise PathError(f"{flag}: {exc}") from None
 
 
 def _domain(args) -> SampleDomain:
@@ -349,11 +352,15 @@ def cmd_check(args) -> int:
             payload = _residual_payload(kind, rep)
     else:  # infinitesimal
         _require(kind, generator=args.generator, field=args.field)
+        cfg = _cfg(args)
         g = get_field(args.generator, args.dim, _params(args.generator_params))
         field = get_field(args.field, args.dim, _params(args.params))
-        rep = check_infinitesimal_symmetry(
-            g, field, _domain(args), flow_times=tuple(_floats(args.flow_times)),
-            tol=args.tol, flow_tol=args.flow_tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = check_infinitesimal_symmetry(
+                g, field, _domain(args), flow_times=tuple(_floats(args.flow_times)),
+                tol=args.tol, flow_tol=args.flow_tol, cfg=cfg)
+        if not math.isfinite(rep.max_residual):  # say, the flow of g blows up on the domain
+            raise OverflowFailure("the infinitesimal check's residual overflowed the float range")
         payload = _check_payload(kind, rep)
     schema = "residual" if "levels" in payload else "check"
     _emit(payload, args.out, schema=schema)

@@ -8,6 +8,7 @@ are grid vertices; nothing is interpolated unless asked for explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +200,8 @@ class GridBox:
         object.__setattr__(self, "lower", tuple(float(v) for v in lo))
         object.__setattr__(self, "upper", tuple(float(v) for v in hi))
         object.__setattr__(self, "counts", tuple(int(v) for v in ct))
+        if not all(math.isfinite(h - l) for l, h in zip(self.lower, self.upper)):
+            raise PathError("every axis needs a finite width upper - lower")
         axes = tuple(np.linspace(*spec) for spec in zip(self.lower, self.upper, self.counts))
         for ax in axes:
             ax.flags.writeable = False

@@ -22,7 +22,7 @@ import numpy as np
 from .fields import DEFAULT_FD_STEP, FieldSpec, SmoothMap, _fd_last_axis
 from .paths import GridBox, PathError, SampledPath, dyadic_prefix, dyadic_steps
 from .reports import CheckReport, ResidualReport, residual_ladder
-from .yde import BlowUpError, SolveConfig, _euler_sweep
+from .yde import BlowUpError, SolveConfig, _einsum, _euler_sweep
 
 
 _NEAREST_CHUNK_BYTES = 4 * 2**20  # one part of the cold-start distance array, in bytes
@@ -137,16 +137,16 @@ def _char_field(H: HamiltonianSpec) -> FieldSpec:
     F_x^j + F_u^j c] at (t, a, b, c).
     """
     d = H.state_dim
+    partials = [(comp.value_at, comp.dp_at, comp.dx_at, comp.du_at) for comp in H.components]
 
     def value(t, y):
         a, b, c = y[:, :d], y[:, d], y[:, d + 1:]
-        F = np.empty(y.shape + (H.n_drivers,))
-        for j, comp in enumerate(H.components):
-            fv, fp = comp.value_at(t, a, b, c), comp.dp_at(t, a, b, c)
-            fx, fu = comp.dx_at(t, a, b, c), comp.du_at(t, a, b, c)
-            F[:, :d, j] = -fp
-            F[:, d, j] = fv - np.einsum("md,md->m", fp, c)
-            F[:, d + 1:, j] = fx + fu[:, None] * c
+        F = np.empty(y.shape + (len(partials),))
+        for j, (fv, fp, fx, fu) in enumerate(partials):
+            p = fp(t, a, b, c)
+            np.negative(p, out=F[:, :d, j])
+            np.subtract(fv(t, a, b, c), _einsum("md,md->m", p, c), out=F[:, d, j])
+            np.add(fx(t, a, b, c), fu(t, a, b, c)[:, None] * c, out=F[:, d + 1:, j])
         return F
 
     return FieldSpec(in_dim=2 * d + 1, driver_dim=H.n_drivers, value=value)
@@ -200,41 +200,54 @@ def _seed_jacobian(box: GridBox, A: np.ndarray, out: np.ndarray | None = None) -
     return out
 
 
+def _det_signs(jac: np.ndarray) -> np.ndarray:
+    """Values with the signs of det over the last two axes: a 1 x 1
+    matrix's own entry (numpy's det of it is sign(a) exp(log|a|)), else det."""
+    return jac[..., 0, 0] if jac.shape[-1] == 1 else np.linalg.det(jac)
+
+
 class _FoldScan:
     """First linearly interpolated sign change of det per seed column.
 
-    feed() takes consecutive row blocks of the (n, m) determinants; each
-    block's last row is carried over to pair with the next block's first.
-    After each feed, tau and folded (updated in place) hold every crossing
-    between the rows seen so far. Columns whose det has not changed sign
-    keep tau = horizon with folded = False, so tau <= horizon always holds.
+    feed() takes consecutive row blocks of the (n, m, d, d) seed
+    Jacobians; each block's last row is carried over to pair with the next
+    block's first. Only the columns that have not folded are looked at,
+    through _det_signs; the two rows of a new crossing take np.linalg.det,
+    which works on each matrix alone, so tau has the bits of a scan of the
+    whole (n, m) det array. After each feed, tau and folded (updated in
+    place) hold every crossing between the rows seen so far. Columns whose
+    det has not changed sign keep tau = horizon with folded = False, so
+    tau <= horizon always holds.
     """
 
     def __init__(self, times: np.ndarray):
         self.times = times
-        self.tau = self.folded = self._prev = None
+        self.tau = self.folded = None
+        self._live = self._prev = None  # the unfolded columns, and their carried-over row
         self._i0 = 0  # grid index of the carried-over row
 
-    def feed(self, block: np.ndarray) -> None:
+    def feed(self, jac: np.ndarray) -> None:
         times = self.times
-        if self._prev is None:
-            self.tau = np.full(block.shape[1], float(times[-1]))
-            self.folded = block[0] <= 0
+        if self._live is None:  # a column with det <= 0 at the first row folds there
+            self.folded = _det_signs(jac[0]) <= 0
+            self.tau = np.full(self.folded.shape, float(times[-1]))
             self.tau[self.folded] = times[0]
-            rows = block
+            self._live = np.flatnonzero(~self.folded)
+            rows = jac[:, self._live]
         else:
-            rows = np.concatenate([self._prev[None], block])
-        sign_change = (rows[:-1] > 0) & (rows[1:] <= 0)
+            rows = np.concatenate([self._prev[None], jac[:, self._live]])
+        det = _det_signs(rows)
+        sign_change = (det[:-1] > 0) & (det[1:] <= 0)
         hit = sign_change.any(axis=0)
-        cols = np.nonzero(hit & ~self.folded)[0]
+        cols = np.flatnonzero(hit)
         if cols.size:
             i = np.argmax(sign_change[:, cols], axis=0)
-            d0, d1 = rows[i, cols], rows[i + 1, cols]
+            d0, d1 = np.linalg.det(rows[i, cols]), np.linalg.det(rows[i + 1, cols])
             i += self._i0
-            self.tau[cols] = times[i] + d0 / (d0 - d1) * (times[i + 1] - times[i])
-        self.folded |= hit
+            self.tau[self._live[cols]] = times[i] + d0 / (d0 - d1) * (times[i + 1] - times[i])
+            self.folded[self._live[cols]] = True
+        self._live, self._prev = self._live[~hit], rows[-1, ~hit]
         self._i0 += rows.shape[0] - 1
-        self._prev = rows[-1].copy()
 
 
 def _seed_data(H: HamiltonianSpec, phi: SmoothMap, box: GridBox):
@@ -248,12 +261,12 @@ class CharStream:
 
     blocks() runs yde._euler_sweep once on _char_field(H), gathers
     _FOLD_BLOCK_ROWS rows (fewer for large seed boxes, _FOLD_BLOCK_BYTES)
-    and feeds each block's seed Jacobian determinants to the fold scan:
-    O(seeds x block) memory for any driver length. Row idx is handed out
-    only once the scan has seen row idx + 1, as a crossing between them
-    can round to tau == t_idx. A block's arrays are buffers, valid until
-    the next block is requested. When the sweep ends, tau, folded and
-    alive_until are final.
+    under one np.errstate, and feeds each block's seed Jacobians to the
+    fold scan: O(seeds x block) memory for any driver length. Row idx is
+    handed out only once the scan has seen row idx + 1, as a crossing
+    between them can round to tau == t_idx. A block's arrays are buffers,
+    valid until the next block is requested. When the sweep ends, tau,
+    folded and alive_until are final.
     """
 
     def __init__(self, H: HamiltonianSpec, X: SampledPath, phi: SmoothMap,
@@ -284,19 +297,17 @@ class CharStream:
         scan = _FoldScan(times)
         lo = 1  # buffer row of the block's first row; row 0 carries the last block's last
         sweep = _euler_sweep(self._field, X, self._y0, self._cfg, False, n, alive_idx)
-        for i in range(n):
-            p = i % size + 1
+        for first in range(0, n, size):
             with np.errstate(over="ignore", invalid="ignore"):  # never on while a block is out
-                (y,) = next(sweep)
-                A[p], B[p], C[p] = y[:, :d], y[:, d], y[:, d + 1:]
-                if p < size and i < n - 1:
-                    continue
+                for p in range(1, min(size, n - first) + 1):
+                    (y,) = next(sweep)
+                    A[p], B[p], C[p] = y[:, :d], y[:, d], y[:, d + 1:]
                 jac = _seed_jacobian(box, A[1:p + 1], J[1:p + 1])
             if not np.isfinite(jac).all():  # frozen seeds next to live ones: no fold scan
                 r = int(np.argmin(np.isfinite(jac).reshape(p, -1).all(axis=1)))
-                raise BlowUpError(float(times[max(i - p + r, 0)]))
-            scan.feed(np.linalg.det(jac))
-            start, hi = i - p + lo, p + (i == n - 1)  # the last row has no next to wait for
+                raise BlowUpError(float(times[max(first + r - 1, 0)]))
+            scan.feed(jac)
+            start, hi = first - 1 + lo, p + (first + p == n)  # the last row has no next one
             k0, k1 = np.searchsorted(want, (start, start + hi - lo))
             if k1 > k0:
                 yield (CharBlock(start, times[start:start + hi - lo], A[lo:hi], B[lo:hi],

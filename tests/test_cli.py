@@ -501,6 +501,38 @@ def test_compose_overflow_prints_only_the_failure_line(workdir):
     assert res.stderr.startswith("numeric failure: ") and res.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, code, line", [
+    # the flow of g = y^2 blows up on part of the domain: the residual overflows
+    (["check", "infinitesimal", "--generator", "square", "--field", "scaling", "--dim", "2",
+      "--domain=0.5:2"], 3, "numeric failure: the infinitesimal check's residual overflowed"),
+    # finite ends whose difference overflows
+    (["flow", "--field", "scaling", "--dim", "2", "--driver", "LIN",
+      "--grid=-1e308:1e308:3;0:1:2", "-o", "OUT"], 2, "error: --grid: "),
+], ids=["infinitesimal", "grid"])
+def test_overflowing_input_exits_on_one_line_without_a_warning(workdir, lin17_csv, argv, code,
+                                                               line):
+    out = str(workdir / "never_overflow")
+    res = subprocess.run([sys.executable, "-m", "youngflow.cli"]
+                         + [{"LIN": lin17_csv, "OUT": out}.get(a, a) for a in argv],
+                         env=_src_env(), capture_output=True, text=True)
+    assert res.returncode == code and res.stdout == ""
+    assert res.stderr.startswith(line) and res.stderr.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+def test_check_infinitesimal_takes_substeps(capsys):
+    argv = ["check", "infinitesimal", "--generator", "square", "--field", "exp", "--dim", "2",
+            "--domain=-1:0.5"]
+    docs = []
+    for extra in ([], ["--substeps", "1"], ["--substeps", "4"]):
+        assert main(argv + extra) == 1
+        doc = json.loads(capsys.readouterr().out)
+        doc.pop("meta")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[2]["details"]["flow_checks"] != docs[0]["details"]["flow_checks"]
+
+
 # One fresh process per class that main maps to exit 2 or 3: there, only
 # the modules the subcommand runs are loaded. OverflowFailure and compose's
 # BlowUpError have the fresh-process tests above. np.linalg.LinAlgError

@@ -250,7 +250,7 @@ def _history(H, X, phi, box, substeps=1):
 
 
 def _fold_scan(times, blocks):
-    """(tau, folded) of pde._FoldScan fed the consecutive det row blocks."""
+    """(tau, folded) of pde._FoldScan fed the consecutive seed Jacobian row blocks."""
     scan = pde._FoldScan(times)
     for block in blocks:
         scan.feed(block)
@@ -408,9 +408,10 @@ def test_first_zero_crossing_matches_reference_loop():
         [1.0, np.nan, 1.0, 0.5, -0.5, 1.0, 1.0, 1.0, 1.0],  # NaN before a crossing
     ]
     rng = np.random.default_rng(9)
-    det = np.column_stack(cols + [rng.normal(0.3, 1.0, 9) for _ in range(40)])
-    tau, folded = _fold_scan(times, [det])
-    ref_tau, ref_folded = _ref_first_zero_crossing(times, det)
+    J = np.column_stack(cols + [rng.normal(0.3, 1.0, 9) for _ in range(40)])[..., None, None]
+    tau, folded = _fold_scan(times, [J])
+    with np.errstate(invalid="ignore"):  # the NaN entry
+        ref_tau, ref_folded = _ref_first_zero_crossing(times, np.linalg.det(J))
     assert np.array_equal(tau, ref_tau) and np.array_equal(folded, ref_folded)
     assert folded[:6].tolist() == [True, False, True, True, True, True]
 
@@ -528,17 +529,56 @@ def test_a_non_finite_seed_jacobian_stops_the_stream(rows, monkeypatch):
 def test_fold_scan_in_blocks_matches_the_whole_array():
     times = np.linspace(0.0, 2.0, 9)
     rng = np.random.default_rng(10)
-    det = np.column_stack(
+    J = np.column_stack(
         [[1.0, 0.8, 0.5, 0.2, -0.1, -0.5, 0.3, 0.4, 0.5],  # crossing between rows 3 and 4
          [0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
          [1.0, np.nan, 1.0, 0.5, -0.5, 1.0, 1.0, 1.0, 1.0]]
-        + [rng.normal(0.3, 1.0, 9) for _ in range(40)])
-    whole = _fold_scan(times, [det])
+        + [rng.normal(0.3, 1.0, 9) for _ in range(40)])[..., None, None]
+    whole = _fold_scan(times, [J])
+    with np.errstate(invalid="ignore"):  # the NaN entry
+        ref = _ref_first_zero_crossing(times, np.linalg.det(J))
+    assert np.array_equal(whole[0], ref[0]) and np.array_equal(whole[1], ref[1])
     assert whole[1][0] and times[3] < whole[0][0] < times[4]
     for rows in range(1, 10):  # rows = 4 puts column 0's crossing on a block boundary
-        blocks = (det[s:s + rows] for s in range(0, det.shape[0], rows))
+        blocks = (J[s:s + rows] for s in range(0, J.shape[0], rows))
         got = _fold_scan(times, blocks)
         assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lazy_fold_scan_matches_the_full_det_reference(d):
+    # J = A diag(v, 1, ...) with det A > 0 gives det J the sign of v, and
+    # an exact 0 where v is 0 (a zero column)
+    times = np.linspace(0.0, 2.0, 13)
+    rng = np.random.default_rng(20 + d)
+    templates = [
+        [-1.0] + [1.0] * 12,  # folds at row 0
+        [0.0] + [1.0] * 12,  # an exact zero at row 0
+        [1.0, 0.5, -0.5, 0.5, -0.5, 0.5, -0.5, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0],  # re-crossings
+        [1.0, 1.0, 0.0, 1.0] + [1.0] * 9,  # an exact zero inside
+        [1.0] * 13,  # never folds
+        [1.0] * 12 + [0.0],  # touches zero at the last row
+    ]
+    v = np.column_stack(templates + [rng.normal(0.3, 1.0, 13) for _ in range(60)])
+    A = np.eye(d) + 0.3 * rng.normal(size=(v.shape[1], d, d))
+    A[np.linalg.det(A) < 0, 0] *= -1.0
+    J = A @ (v[..., None, None] * np.eye(d)[0] + np.diag([0.0] + [1.0] * (d - 1)))
+    det = np.linalg.det(J)
+    assert np.array_equal(det == 0, v == 0) and np.array_equal(det > 0, v > 0)
+    ref_tau, ref_folded = _ref_first_zero_crossing(times, det)
+    assert 0 < ref_folded.sum() < v.shape[1]
+    for rows in range(1, 10):
+        blocks = (J[s:s + rows] for s in range(0, J.shape[0], rows))
+        tau, folded = _fold_scan(times, blocks)
+        assert np.array_equal(tau, ref_tau) and np.array_equal(folded, ref_folded)
+
+
+def test_det_of_a_1x1_matrix_has_the_sign_of_its_entry():
+    big = np.finfo(float).max
+    a = np.array([0.0, -0.0, 5e-324, -5e-324, big, -big, np.inf, -np.inf])
+    det = np.linalg.det(a[:, None, None])
+    assert np.array_equal(det > 0, a > 0) and np.array_equal(det <= 0, a <= 0)
+    assert np.array_equal(pde._det_signs(a[:, None, None]), a)
 
 
 def test_fold_crossing_on_a_block_boundary(monkeypatch):

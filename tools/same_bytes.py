@@ -6,14 +6,15 @@
 Both revisions are extracted with bench_pairs.py's `extract` into DIR
 (outside the checkout under test). For each seed, every workload of
 bench/workloads.py makes its inputs once, and each tree runs every call
-of the workload as a CLI call from its own `src/`. Three extra `pde`
-calls run as well: a folding `solve` with two substeps, a 2-d `caustic`
-and a 2-d `residual`; and four extra `yde` calls: a `flow` with two
-substeps on a ramp that kills some of its rows, a `compose` with the
-nonlinear inner field `square`, which relaxes in more than one sweep, a
-`check symmetry --mode trajectory` on the ramp in which only the row from
-Phi(y0) blows up, and a `check infinitesimal` with the nonlinear
-generator `square`. The output files are compared with bench/run.py's
+of the workload as a CLI call from its own `src/`. Four extra `pde`
+calls run as well: a folding `solve` with two substeps, a 2-d `caustic`,
+a 2-d `residual` and a 3-d `caustic` in which seeds fold at many
+different times and others never; and four extra `yde` calls: a `flow`
+with two substeps on a ramp that kills some of its rows, a `compose`
+with the nonlinear inner field `square`, which relaxes in more than one
+sweep, a `check symmetry --mode trajectory` on the ramp in which only the
+row from Phi(y0) blows up, and a `check infinitesimal` with the
+nonlinear generator `square`. The output files are compared with bench/run.py's
 `snapshot` (JSON up to `meta.created`, anything else byte for byte), and
 each call's exit code, standard output and standard error are compared
 with the tree's path masked. Prints one line per difference and exits 1
@@ -47,12 +48,15 @@ from workloads import WORKLOADS, Workload  # noqa: E402
 
 
 def pde_extra(seed: int, indir: Path) -> Workload:
-    """A folding solve with substeps, and a caustic and a residual in 2-d."""
+    """A folding solve with substeps, a caustic and a residual in 2-d, and
+    a caustic in 3-d."""
     rng = np.random.default_rng([seed, 4])
-    fold, plane = indir / "fold.csv", indir / "plane.csv"
+    fold, plane, wide = indir / "fold.csv", indir / "plane.csv", indir / "wide.csv"
     times, vals = inputs.fbm(257, 0.8, rng)
     inputs.write_path(fold, times, 1.5 * vals)
-    inputs.write_path(plane, *inputs.fbm(129, 0.8, rng))
+    times, vals = inputs.fbm(129, 0.8, rng)
+    inputs.write_path(plane, times, vals)
+    inputs.write_path(wide, times, 4.0 * vals)
     calls = (
         ["pde", "solve", "--hamiltonian", "burgers-half-p-squared", "--init", "sin",
          "--driver", str(fold), "--box=-3:3:113", "--eval=-2.5:2.5:21", "--slices", "33",
@@ -62,6 +66,11 @@ def pde_extra(seed: int, indir: Path) -> Workload:
         ["pde", "residual", "--hamiltonian", "transport-k", "--params", "k=0.7",
          "--init", "sin", "--dim", "2", "--driver", str(plane), "--box=-4:4:81;-4:4:21",
          "--eval=-1:1:5;-1:1:4", "--levels", "3", "-o", "residual2.json"],
+        # det D_x a_t = det(I - X_t D^2 phi) on 9^3 seeds: on seeds 1, 5 and
+        # 77, 231 to 556 of them fold, at 12 to 29 different times
+        ["pde", "caustic", "--hamiltonian", "burgers-half-p-squared", "--init", "gauss",
+         "--dim", "3", "--driver", str(wide), "--box=-2:2:9;-2:2:9;-2:2:9",
+         "-o", "caustic3.json"],
     )
     return Workload("pde_extra", calls, lambda out: [])
 
