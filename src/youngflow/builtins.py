@@ -207,7 +207,7 @@ def _ham_transport(dim: int, k: float | tuple = 1.0) -> HamiltonianSpec:
         du=lambda t, x, u, p: np.zeros(u.shape),
         dp=lambda t, x, u, p: k_rows(p),
     )
-    return HamiltonianSpec(state_dim=dim, components=(comp,))
+    return HamiltonianSpec(state_dim=dim, components=(comp,), p_only=True)
 
 
 def _ham_burgers(dim: int) -> HamiltonianSpec:
@@ -219,7 +219,7 @@ def _ham_burgers(dim: int) -> HamiltonianSpec:
         du=lambda t, x, u, p: np.zeros(u.shape),
         dp=lambda t, x, u, p: p.copy(),
     )
-    return HamiltonianSpec(state_dim=dim, components=(comp,))
+    return HamiltonianSpec(state_dim=dim, components=(comp,), p_only=True)
 
 
 HAMILTONIANS = {

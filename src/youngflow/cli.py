@@ -156,7 +156,10 @@ def _box(text: str, dim: int, flag: str) -> GridBox:
             raise PathError(f"bad box axis {axis!r}, expected lo:hi:count")
         lows.append(finite(parts[0]))
         highs.append(finite(parts[1]))
-        counts.append(int(parts[2]))
+        try:
+            counts.append(int(parts[2]))
+        except ValueError:
+            raise PathError(f"{flag}: count {parts[2]!r} is not an integer") from None
     if len(counts) != dim:
         raise PathError(f"{flag} needs {dim} axes for --dim {dim}, got {len(counts)}")
     try:

@@ -22,7 +22,7 @@ import numpy as np
 from .fields import DEFAULT_FD_STEP, FieldSpec, SmoothMap, _fd_last_axis
 from .paths import GridBox, PathError, SampledPath, dyadic_prefix, dyadic_steps
 from .reports import CheckReport, ResidualReport, residual_ladder
-from .yde import BlowUpError, SolveConfig, _einsum, _euler_sweep
+from .yde import BlowUpError, SolveConfig, _einsum, _euler_fixed, _euler_sweep
 
 
 _NEAREST_CHUNK_BYTES = 4 * 2**20  # one part of the cold-start distance array, in bytes
@@ -76,14 +76,23 @@ class ScalarHamiltonian:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """All driver components of the right-hand side, state dimension d."""
+    """All driver components of the right-hand side, state dimension d.
+
+    p_only: every component is F^j(p) alone, so F_x = F_u = 0, and F^j
+    and F_p^j do not depend on the sign of a zero p (the Euler sweep turns
+    c_0 = -0.0 into +0.0), as its builder declares; nothing checks the
+    callables.
+    """
 
     state_dim: int
     components: tuple
+    p_only: bool = False
 
     def __post_init__(self):
         if not self.components:
             raise PathError("at least one driver component is required")
+        if not isinstance(self.p_only, bool):
+            raise PathError(f"p_only must be a bool, got {self.p_only!r}")
 
     @property
     def n_drivers(self) -> int:
@@ -134,7 +143,8 @@ def _char_field(H: HamiltonianSpec) -> FieldSpec:
 
     Y (m, 2d + 1) stacks the rows [a, b, c]; the value (m, 2d + 1, n)
     holds, per driver component j, the column [-F_p^j, F^j - F_p^j . c,
-    F_x^j + F_u^j c] at (t, a, b, c).
+    F_x^j + F_u^j c] at (t, a, b, c); for a p_only H, of c alone, with
+    c part 0, so every step has the column at the seeds.
     """
     d = H.state_dim
     partials = [(comp.value_at, comp.dp_at, comp.dx_at, comp.du_at) for comp in H.components]
@@ -259,14 +269,14 @@ def _seed_data(H: HamiltonianSpec, phi: SmoothMap, box: GridBox):
 class CharStream:
     """The characteristic rows of a seed box, a block of grid points at a time.
 
-    blocks() runs yde._euler_sweep once on _char_field(H), gathers
-    _FOLD_BLOCK_ROWS rows (fewer for large seed boxes, _FOLD_BLOCK_BYTES)
-    under one np.errstate, and feeds each block's seed Jacobians to the
-    fold scan: O(seeds x block) memory for any driver length. Row idx is
-    handed out only once the scan has seen row idx + 1, as a crossing
-    between them can round to tau == t_idx. A block's arrays are buffers,
-    valid until the next block is requested. When the sweep ends, tau,
-    folded and alive_until are final.
+    blocks() steps _char_field(H) by _rows, gathers _FOLD_BLOCK_ROWS rows
+    (fewer for large seed boxes, _FOLD_BLOCK_BYTES) under one np.errstate,
+    and feeds each block's seed Jacobians to the fold scan: O(seeds x
+    block) memory for any driver length. Row idx is handed out only once
+    the scan has seen row idx + 1, as a crossing between them can round to
+    tau == t_idx. A block's arrays are buffers, valid until the next block
+    is requested. When the sweep ends, tau, folded and alive_until are
+    final.
     """
 
     def __init__(self, H: HamiltonianSpec, X: SampledPath, phi: SmoothMap,
@@ -277,6 +287,7 @@ class CharStream:
         self.box, self.times = box, X.times
         self._y0 = np.concatenate([self.seeds, u0[:, None], p0], axis=1)
         self._field, self._X, self._cfg = _char_field(H), X, SolveConfig(substeps)
+        self._p_only = H.p_only
         self.tau = self.folded = self.alive_until = None
 
     def index_of(self, t: float) -> int:
@@ -296,12 +307,10 @@ class CharStream:
         alive_idx = np.full(m, n - 1, dtype=int)
         scan = _FoldScan(times)
         lo = 1  # buffer row of the block's first row; row 0 carries the last block's last
-        sweep = _euler_sweep(self._field, X, self._y0, self._cfg, False, n, alive_idx)
+        rows = self._rows(A, B, C, alive_idx)
         for first in range(0, n, size):
             with np.errstate(over="ignore", invalid="ignore"):  # never on while a block is out
-                for p in range(1, min(size, n - first) + 1):
-                    (y,) = next(sweep)
-                    A[p], B[p], C[p] = y[:, :d], y[:, d], y[:, d + 1:]
+                p = next(rows)
                 jac = _seed_jacobian(box, A[1:p + 1], J[1:p + 1])
             if not np.isfinite(jac).all():  # frozen seeds next to live ones: no fold scan
                 r = int(np.argmin(np.isfinite(jac).reshape(p, -1).all(axis=1)))
@@ -316,6 +325,45 @@ class CharStream:
                 v[0] = v[p]
             lo = 0
         self.tau, self.folded, self.alive_until = scan.tau, scan.folded, times[alive_idx]
+
+    def _rows(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, alive_idx: np.ndarray):
+        """Fill rows 1 to p of A, B and C with each block's p grid rows; yield p.
+
+        A p_only H at one substep takes yde._euler_fixed of the column at
+        the seeds, with the sweep's bits, until a block ends non-finite.
+        From that block's first state on, as for every other H or substep
+        count, yde._euler_sweep runs, its frozen rows going into alive_idx.
+        """
+        X, n, size, (m, d) = self._X, self._X.n_points, A.shape[0] - 1, self.seeds.shape
+        y, first = self._y0, 0
+        if self._p_only and self._cfg.substeps_per_interval == 1:
+            F = self._field.value_at(float(X.times[0]), y)
+            dx = np.diff(X.values, axis=0)  # substep_grid's at one substep
+            parts = ((A, F[:, :d]), (B, F[:, d]), (C, F[:, d + 1:]))
+            A[1], B[1], C[1] = y[:, :d], y[:, d], y[:, d + 1:]  # grid row 0
+            for first in range(0, n, size):
+                p, j = min(size, n - first), int(first == 0)  # the block's first state is row j
+                for V, FV in parts:
+                    _euler_fixed(FV, dx[first - 1 + j:first + p - 1], V[j:p + 1])
+                if not all(np.isfinite(V[p]).all() for V in (A, B, C)):  # non-finite stays so
+                    y = np.column_stack([A[j], B[j], C[j]])
+                    break
+                yield p
+            else:
+                return
+        g = max(first - 1, 0)  # the grid index of y
+        local = np.full(m, n - 1 - g)  # the sweep counts from index g
+        sweep = _euler_sweep(self._field, SampledPath(X.times[g:], X.values[g:]), y, self._cfg,
+                             False, n - g, local)
+        if first:
+            next(sweep)  # row g, which the last block holds
+        for first in range(first, n, size):
+            p = min(size, n - first)
+            for r in range(1, p + 1):
+                (y,) = next(sweep)
+                A[r], B[r], C[r] = y[:, :d], y[:, d], y[:, d + 1:]
+            np.add(local, g, out=alive_idx)
+            yield p
 
 
 def fold_times(H: HamiltonianSpec, X: SampledPath, phi: SmoothMap,

@@ -128,6 +128,17 @@ def _euler_sweep(field: FieldSpec, X: SampledPath, y0s: np.ndarray, cfg: SolveCo
         yield cur
 
 
+def _euler_fixed(F: np.ndarray, dx: np.ndarray, out: np.ndarray) -> None:
+    """Euler rows out[1:] from out[0] of a value F (..., n) that no step changes.
+
+    Row r adds F . dx[r - 1] to row r - 1, in the order of _euler_sweep at
+    one substep: np.add.accumulate gives its bits, and einsum sums from
+    +0.0 as _apply does.
+    """
+    _einsum("...n,in->i...", F, dx, out=out[1:])
+    np.add.accumulate(out, axis=0, out=out)
+
+
 def _euler_core(field: FieldSpec, X: SampledPath, y0s: np.ndarray, cfg: SolveConfig,
                 with_jacobian: bool, history: int = 2, n: int | None = None):
     """([states] or [states, jacobians], alive_idx) of _euler_sweep over the

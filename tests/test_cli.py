@@ -347,6 +347,21 @@ def test_flow_grid_axis_count_must_match_dim(capsys, workdir, lin17_csv):
     assert not os.path.exists(workdir / "never_flow")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["flow", "--field", "scaling", "--dim", "1", "--grid=0:1:abc"], "--grid"),
+    (["pde", "solve", "--hamiltonian", "transport-k", "--init", "sin", "--box=-2:2:abc",
+      "--eval=-1:1:5"], "--box"),
+    (["pde", "solve", "--hamiltonian", "transport-k", "--init", "sin", "--box=-2:2:5",
+      "--eval=-1:1:abc"], "--eval"),
+])
+def test_a_box_count_that_is_not_an_integer_names_its_flag(capsys, workdir, lin17_csv, argv,
+                                                          flag):
+    out = workdir / "never_box"
+    assert main(argv + ["--driver", lin17_csv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: count 'abc' is not an integer\n"
+    assert not os.path.exists(out)
+
+
 def test_pde_eval_axis_count_must_match_dim(capsys, workdir, lin17_csv):
     # a 1-axis --eval against a 2-d map used to run Newton on the diagonal
     rc, out = run(capsys, ["pde", "residual", "--hamiltonian", "transport-k",

@@ -17,6 +17,7 @@ import pytest
 
 import youngflow.cli as cli
 import youngflow.composition as composition
+import youngflow.pde as pde
 import youngflow.symmetry as symmetry
 from youngflow import (
     CharStream,
@@ -478,6 +479,16 @@ def test_char_core_matches_reference(sub):
     for g, r in zip(got, ref[:3]):
         assert np.array_equal(g, r)
     assert np.array_equal(got[3], X.times[ref[3]])
+
+
+def test_a_hamiltonian_not_declared_p_only_runs_the_sweep(monkeypatch):
+    real, calls = pde._euler_sweep, []
+    monkeypatch.setattr(pde, "_euler_sweep", lambda *a: calls.append(1) or real(*a))
+    H = _timed_hamiltonian()
+    assert not H.p_only
+    _stream_history(H, _fbm2(33, 7), _seed_data_map(lambda x: np.sin(x[..., 0]), np.cos),
+                    GridBox((-1.0, -1.0), (1.0, 1.0), (4, 3)), 2)
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("sub", [1, 2])

@@ -8,6 +8,7 @@ one cell lookup per Newton iterate and vectorises the rest; these tests
 pin that it computes the same bits, whatever the block size.
 """
 
+import dataclasses
 import itertools
 import tracemalloc
 import warnings
@@ -600,6 +601,7 @@ def test_fold_crossing_on_a_block_boundary(monkeypatch):
 
 def test_fold_times_memory_does_not_grow_with_the_driver():
     H = get_hamiltonian("burgers-half-p-squared", 1)
+    assert H.p_only  # the rows come by accumulate, in blocks
     phi = get_initial_data("sin", 1)
     box = GridBox((-3.0,), (3.0,), (401,))
     peaks = []
@@ -846,3 +848,147 @@ def test_large_seed_boxes_get_fewer_rows_per_block():
     det = np.concatenate([np.linalg.det(blk.jac) for blk, _ in stream.blocks()])
     ref_tau, ref_folded = _ref_first_zero_crossing(X.times, det)
     assert _same(tau, ref_tau) and np.array_equal(folded, ref_folded)
+
+
+# ------------------------------------------- p-only Hamiltonians by accumulate
+
+
+def _bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()  # NaN payloads and -0.0 too
+
+
+def _poly_hamiltonian(rng, d, n_drivers):
+    # per driver F(p) = k . p + q |p|^2 / 2 + r sum(p^3) / 3, declared p-only
+    comps = []
+    for _ in range(n_drivers):
+        k, q, r = rng.uniform(-1.0, 1.0, d), rng.uniform(0.2, 1.0), rng.uniform(-0.3, 0.3)
+        comps.append(ScalarHamiltonian(
+            value=lambda t, x, u, p, k=k, q=q, r=r: (p @ k + q * 0.5 * np.sum(p ** 2, axis=-1)
+                                                     + r * np.sum(p ** 3, axis=-1) / 3),
+            dx=lambda t, x, u, p: np.zeros(x.shape),
+            du=lambda t, x, u, p: np.zeros(u.shape),
+            dp=lambda t, x, u, p, k=k, q=q, r=r: k + q * p + r * p ** 2))
+    return HamiltonianSpec(state_dim=d, components=tuple(comps), p_only=True)
+
+
+def _signed_zero_seeds(monkeypatch):
+    # the box's zero coordinates, and the zero slopes phi gives there, become
+    # -0.0 (a GridBox makes only +0.0): the sweep's first step turns c0 = -0.0
+    # into +0.0
+    real = pde._seed_data
+    monkeypatch.setattr(pde, "_seed_data", lambda H, phi, box: tuple(
+        np.where(v == 0, -0.0, v) for v in real(H, phi, box)))
+
+
+def _outcome(H, X, phi, box, sub):
+    """The rows and final state of a CharStream, or its BlowUpError time."""
+    try:
+        return _history(H, X, phi, box, sub)
+    except BlowUpError as exc:
+        return exc.last_valid_time
+
+
+def _assert_routes_agree(H, X, phi, box, sub):
+    """The accumulate route of a p_only H against yde's sweep on its _char_field,
+    both as the stream without the flag and as _euler_core over the whole grid."""
+    assert H.p_only
+    got = _outcome(H, X, phi, box, sub)
+    want = _outcome(dataclasses.replace(H, p_only=False), X, phi, box, sub)
+    if isinstance(want, float):
+        assert got == want
+        return got
+    for name in ("A", "B", "C", "jac", "tau", "folded", "alive_until"):
+        assert _bits(getattr(got, name), getattr(want, name)), name
+    x, u, p = pde._seed_data(H, phi, box)
+    (Y,), alive_idx = _euler_core(pde._char_field(H), X, np.column_stack([x, u, p]),
+                                  SolveConfig(sub), False)
+    d = H.state_dim
+    for g, r in ((got.A, Y[..., :d]), (got.B, Y[..., d]), (got.C, Y[..., d + 1:])):
+        assert _bits(g, np.ascontiguousarray(r))
+    assert _bits(got.alive_until, X.times[alive_idx])
+    return got
+
+
+@pytest.mark.parametrize("sub", [1, 2, 3])
+@pytest.mark.parametrize("n_drivers", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_p_only_accumulate_matches_the_euler_sweep_bitwise(d, n_drivers, sub, monkeypatch):
+    rng = np.random.default_rng([d, n_drivers, sub])
+    H = _poly_hamiltonian(rng, d, n_drivers)
+    X = SampledPath(np.linspace(0.0, 1.0, 41), np.cumsum(rng.normal(0.0, 0.3, (41, n_drivers)),
+                                                         axis=0))
+    slope = rng.uniform(0.5, 1.5)
+    phi = SmoothMap(in_dim=d, out_dim=1,
+                    value=lambda x: (-0.5 * slope * np.sum(x ** 2, axis=-1))[..., None],
+                    jacobian=lambda x: (-slope * x)[..., None, :])  # -0.0 at x = 0
+    box = GridBox((-2.0,) * d, (2.0,) * d, ((17,), (9, 7), (5, 5, 3))[d - 1])
+    _signed_zero_seeds(monkeypatch)
+    x, u, p = pde._seed_data(H, phi, box)
+    zero = np.all(x == 0, axis=1)
+    assert zero.sum() == 1 and np.signbit(x[zero]).all() and np.signbit(p[zero]).all()
+    for rows in (64, 1, 5):
+        monkeypatch.setattr(pde, "_FOLD_BLOCK_ROWS", rows)
+        got = _assert_routes_agree(H, X, phi, box, sub)
+        assert not np.signbit(got.C[1:, zero]).any()  # the sweep's c0 + 0.0
+
+
+def _overflow_cases():
+    line = _short_line(65)
+    return {
+        # c0 = 1e154 at x = 0.5: b = u0 - c0^2 X_t / 2 overflows inside a
+        # block, where X_t = 8 t passes 3.6; a and c stay finite, so the
+        # stream runs on with that seed frozen
+        "b-overflows": (get_hamiltonian("burgers-half-p-squared", 1),
+                        SampledPath(line.times, 8.0 * line.values),
+                        SmoothMap(in_dim=1, out_dim=1, value=np.sin,
+                                  jacobian=lambda x: np.where(x == 0.5, 1e154,
+                                                              np.cos(x))[..., None]),
+                        GridBox((-3.0,), (3.0,), (13,))),
+        # a = x - 1e308 X_t overflows on every seed: the stream stops
+        "a-overflows": (get_hamiltonian("transport-k", 1, {"k": 1e308}),
+                        SampledPath(line.times, 3.0 * line.values), get_initial_data("sin", 1),
+                        GridBox((-3.0,), (3.0,), (41,))),
+    }
+
+
+@pytest.mark.parametrize("sub", [1, 2, 3])
+@pytest.mark.parametrize("case", list(_overflow_cases()))
+def test_p_only_overflow_falls_back_to_the_sweep(case, sub, monkeypatch):
+    H, X, phi, box = _overflow_cases()[case]
+    real, calls = pde._euler_sweep, []
+    monkeypatch.setattr(pde, "_euler_sweep", lambda *a: calls.append(a[1].n_points) or real(*a))
+    for rows in (64, 1, 5):
+        monkeypatch.setattr(pde, "_FOLD_BLOCK_ROWS", rows)
+        calls.clear()
+        with np.errstate(over="raise", invalid="raise"):  # no warning either
+            got = _outcome(H, X, phi, box, sub)
+        swept = list(calls)
+        _assert_routes_agree(H, X, phi, box, sub)
+        if case == "b-overflows":
+            assert np.sum(got.alive_until < X.times[-1]) == 1
+            # the block holding the first non-finite row reruns from its first state
+            first = (np.searchsorted(X.times, got.alive_until.min()) + 1) // rows * rows
+            assert 0 < first < X.n_points - 1 or rows == 64
+            # with substeps the stream is the sweep from the start
+            assert swept == [X.n_points - max(first - 1, 0) if sub == 1 else X.n_points]
+        else:  # the seed Jacobian may overflow first, before any row does
+            assert isinstance(got, float) and got < X.times[-1] and len(swept) <= 1
+
+
+def test_p_only_is_declared_by_the_builtins_and_routes_the_stream(monkeypatch):
+    real, calls = pde._euler_sweep, []
+    monkeypatch.setattr(pde, "_euler_sweep", lambda *a: calls.append(1) or real(*a))
+    X, phi, box = _short_line(33), get_initial_data("sin", 1), GridBox((-3.0,), (3.0,), (21,))
+    for H, sweeps in ((get_hamiltonian("transport-k", 1), 0),
+                      (get_hamiltonian("burgers-half-p-squared", 1), 0),
+                      (_blow_up_hamiltonian(0.5), 1)):
+        assert H.p_only == (sweeps == 0)
+        for sub, want in ((1, sweeps), (2, 1)):  # with substeps, always the sweep
+            calls.clear()
+            fold_times(H, X, phi, box, substeps=sub)
+            assert len(calls) == want
+    comp = get_hamiltonian("transport-k", 1).components[0]
+    assert not HamiltonianSpec(state_dim=1, components=(comp,)).p_only  # nothing is inferred
+    for flag in (1, "yes", np.True_, None):
+        with pytest.raises(PathError, match="p_only must be a bool"):
+            HamiltonianSpec(state_dim=1, components=(comp,), p_only=flag)

@@ -6,10 +6,12 @@
 Both revisions are extracted with bench_pairs.py's `extract` into DIR
 (outside the checkout under test). For each seed, every workload of
 bench/workloads.py makes its inputs once, and each tree runs every call
-of the workload as a CLI call from its own `src/`. Four extra `pde`
+of the workload as a CLI call from its own `src/`. Six extra `pde`
 calls run as well: a folding `solve` with two substeps, a 2-d `caustic`,
-a 2-d `residual` and a 3-d `caustic` in which seeds fold at many
-different times and others never; and four extra `yde` calls: a `flow`
+a 2-d `residual`, a 3-d `caustic` in which seeds fold at many
+different times and others never, a `caustic` whose characteristics
+overflow (exit 3), and a `residual` with three substeps; and four extra
+`yde` calls: a `flow`
 with two substeps on a ramp that kills some of its rows, a `compose`
 with the nonlinear inner field `square`, which relaxes in more than one
 sweep, a `check symmetry --mode trajectory` on the ramp in which only the
@@ -48,8 +50,8 @@ from workloads import WORKLOADS, Workload  # noqa: E402
 
 
 def pde_extra(seed: int, indir: Path) -> Workload:
-    """A folding solve with substeps, a caustic and a residual in 2-d, and
-    a caustic in 3-d."""
+    """A folding solve with substeps, a caustic and a residual in 2-d, a
+    caustic in 3-d, an overflowing caustic and a residual with substeps."""
     rng = np.random.default_rng([seed, 4])
     fold, plane, wide = indir / "fold.csv", indir / "plane.csv", indir / "wide.csv"
     times, vals = inputs.fbm(257, 0.8, rng)
@@ -71,6 +73,13 @@ def pde_extra(seed: int, indir: Path) -> Workload:
         ["pde", "caustic", "--hamiltonian", "burgers-half-p-squared", "--init", "gauss",
          "--dim", "3", "--driver", str(wide), "--box=-2:2:9;-2:2:9;-2:2:9",
          "-o", "caustic3.json"],
+        # a = x - 1e308 X_t overflows in the first block of rows, where the
+        # p-only accumulate hands over to the Euler sweep, which stops
+        ["pde", "caustic", "--hamiltonian", "transport-k", "--params", "k=1e308",
+         "--init", "sin", "--driver", str(wide), "--box=-3:3:41", "-o", "overflow.json"],
+        ["pde", "residual", "--hamiltonian", "transport-k", "--params", "k=0.7",
+         "--init", "sin", "--driver", str(fold), "--box=-4:4:161", "--eval=-1:1:9",
+         "--levels", "3", "--substeps", "3", "-o", "residual3.json"],
     )
     return Workload("pde_extra", calls, lambda out: [])
 
