@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 
 # Public names by the submodule that defines them.
 _EXPORTS = {
-    "paths": ("GridBox", "Partition", "PathError", "SampledPath", "VariationResult",
-              "dyadic_prefix", "dyadic_steps", "holder_norm", "p_variation",
-              "p_variation_norm"),
+    "paths": ("GridBox", "NumericFailure", "Partition", "PathError", "SampledPath",
+              "VariationResult", "dyadic_prefix", "dyadic_steps", "holder_norm",
+              "p_variation", "p_variation_norm"),
     "integrate": ("DimensionMismatch", "IntegralResult", "YoungConditionError",
                   "indefinite_integral", "young_integral", "young_loeve_bound"),
     "drivers": ("DeterministicSpec", "FbmSpec", "GenerationError", "ResourceError",

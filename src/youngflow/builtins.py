@@ -14,12 +14,13 @@ import numpy as np
 
 from .fields import (FieldSpec, PointMap, ScalarObservable, SmoothMap,
                      TimeDependentMap)
+from .paths import PathError
 
 if TYPE_CHECKING:
     from .pde import HamiltonianSpec
 
 
-class UnknownBuiltin(LookupError):
+class UnknownBuiltin(PathError, LookupError):
     pass
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import SmoothMap, TimeDependentMap
-from .integrate import indefinite_integral
+from .integrate import DimensionMismatch, indefinite_integral
 from .paths import PathError, SampledPath, dyadic_prefix
 from .reports import ResidualReport, residual_ladder
 
@@ -103,6 +103,9 @@ def substitution_residual(g: SampledPath, f: SampledPath, Z: SampledPath,
     _shared_grid(g, f, Z)
     if not (g.is_operator and f.is_operator):
         raise PathError("substitution check needs operator-valued g and f")
+    if g.value_shape[1] != f.value_shape[0]:
+        raise DimensionMismatch(f"substitution check: g of shape {g.value_shape} cannot act "
+                                f"on f of shape {f.value_shape}")
     if interval is not None:
         g, f, Z = (p.restrict(*interval) for p in (g, f, Z))
     g, f, Z = (dyadic_prefix(p, levels) for p in (g, f, Z))

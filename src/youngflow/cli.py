@@ -2,11 +2,13 @@
 
 One process per invocation: read input files, compute, write outputs,
 exit. No long-running service mode; no daemon state. Exit codes:
-0 success / check passed, 1 check failed, 2 usage or input errors
-(unreadable or unwritable files included), 3 numeric failures (blow-up,
-failed factorization, non-convergence), 4 internal errors (a report
-that fails its schema or strict JSON, or any other exception a handler
-lets escape), reported on one line without a traceback.
+0 success / check passed, 1 check failed, 2 usage or input errors (a
+PathError, OSError or other ValueError: unreadable or unwritable files
+included), 3 numeric failures (a NumericFailure or a LinAlgError:
+blow-up, overflow, a fold, failed factorization, non-convergence),
+4 internal errors (a report that fails its schema or strict JSON, or
+any other exception a handler lets escape), reported on one line
+without a traceback.
 
 A ``--config FILE`` of ``key=value`` lines supplies defaults for any
 long option of the chosen subcommand; explicit command-line flags win.
@@ -23,15 +25,11 @@ from importlib import import_module
 import numpy as np
 
 from . import io as yio
-from .paths import DETERMINISTIC_KINDS, GridBox, PathError, p_variation
+from .paths import DETERMINISTIC_KINDS, GridBox, NumericFailure, PathError, p_variation
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
 INTERNAL_EXIT = 4
-
-
-class OverflowFailure(ArithmeticError):
-    """A result of finite input data that overflowed the float range."""
 
 
 # ------------------------------------------------------- lazy layer names
@@ -81,24 +79,6 @@ def _bind(command: str) -> None:
         for name in _LAYER_NAMES[module]:
             if name not in globals():
                 __getattr__(name)
-
-
-# Exception classes that main maps to an exit code, by defining module.
-# Only loaded modules are asked: a class whose module was never imported
-# cannot have been raised.
-_USAGE_ERRORS = {"integrate": ("YoungConditionError",), "builtins": ("UnknownBuiltin",)}
-_NUMERIC_ERRORS = {"yde": ("BlowUpError", "NewtonError"),
-                   "drivers": ("GenerationError", "ResourceError"),
-                   "pde": ("CausticError", "InversionError")}
-
-
-def _loaded(classes: dict) -> tuple:
-    found = []
-    for module, names in classes.items():
-        mod = sys.modules.get(f"{__package__}.{module}")
-        if mod is not None:
-            found += [getattr(mod, name) for name in names]
-    return tuple(found)
 
 
 # --------------------------------------------------------- small parsers
@@ -245,7 +225,7 @@ def cmd_pvar(args) -> int:
         sup = path.sup_norm()
     norm = res.value + sup  # p_variation_norm, without a second DP
     if math.isinf(norm):  # sums of norms overflow to +inf; a NaN would be a fault
-        raise OverflowFailure("the p-variation norm overflowed the float range")
+        raise NumericFailure("the p-variation norm overflowed the float range")
     _emit({
         "p": args.p,
         "value": res.value,
@@ -264,7 +244,7 @@ def cmd_integrate(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         res = young_integral(Z, X, interval=interval, tag=args.tag, p=args.p, q=args.q)
     if not np.isfinite(np.append(res.value, res.certified_bound or 0.0)).all():
-        raise OverflowFailure("the integral or its bound overflowed the float range")
+        raise NumericFailure("the integral or its bound overflowed the float range")
     span = interval or (float(X.times[0]), float(X.times[-1]))
     _emit({
         "value": [float(v) for v in np.atleast_1d(res.value)],
@@ -363,7 +343,7 @@ def cmd_check(args) -> int:
                 g, field, _domain(args), flow_times=tuple(_floats(args.flow_times)),
                 tol=args.tol, flow_tol=args.flow_tol, cfg=cfg)
         if not math.isfinite(rep.max_residual):  # say, the flow of g blows up on the domain
-            raise OverflowFailure("the infinitesimal check's residual overflowed the float range")
+            raise NumericFailure("the infinitesimal check's residual overflowed the float range")
         payload = _check_payload(kind, rep)
     schema = "residual" if "levels" in payload else "check"
     _emit(payload, args.out, schema=schema)
@@ -615,11 +595,11 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             args = parser.parse_args(argv + _config_argv(args.config, argv))
         return args.handler(args)
-    except (OverflowFailure, np.linalg.LinAlgError, *_loaded(_NUMERIC_ERRORS)) as exc:
+    except (NumericFailure, np.linalg.LinAlgError) as exc:
         # before the usage errors: np.linalg.LinAlgError subclasses ValueError
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
-    except (PathError, OSError, ValueError, *_loaded(_USAGE_ERRORS)) as exc:
+    except (PathError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except Exception as exc:  # a fault of the program, yio.SchemaError included

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import DETERMINISTIC_KINDS, PathError, SampledPath
+from .paths import DETERMINISTIC_KINDS, NumericFailure, PathError, SampledPath
 
 # Bump when the sampling algorithm or RNG contract changes; recorded in
 # generated metadata so stored paths can be traced to the generator.
@@ -17,11 +17,11 @@ GENERATOR_VERSION = "youngflow-gen-2"
 DEFAULT_MAX_POINTS = 2**20 + 1
 
 
-class ResourceError(RuntimeError):
+class ResourceError(NumericFailure, RuntimeError):
     """Request exceeds the configured size cap."""
 
 
-class GenerationError(RuntimeError):
+class GenerationError(NumericFailure, RuntimeError):
     """Numerical failure while sampling (e.g. covariance embedding not PSD)."""
 
 

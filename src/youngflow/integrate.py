@@ -20,7 +20,7 @@ class DimensionMismatch(PathError):
     """Integrand and integrator shapes do not compose."""
 
 
-class YoungConditionError(ValueError):
+class YoungConditionError(PathError):
     """1/p + 1/q <= 1: no certified bound available."""
 
 

@@ -18,6 +18,12 @@ class PathError(ValueError):
     """Invalid path data, or an operation addressed off the sampled grid."""
 
 
+class NumericFailure(ArithmeticError):
+    """A computation on valid input that failed: blow-up, overflow, a fold,
+    a size cap, or an iteration that did not converge. The base of every
+    numeric error of the package; the CLI maps it to exit 3."""
+
+
 def _as_frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)

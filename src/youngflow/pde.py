@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fields import DEFAULT_FD_STEP, FieldSpec, SmoothMap, _fd_last_axis
-from .paths import GridBox, PathError, SampledPath, dyadic_prefix, dyadic_steps
+from .paths import GridBox, NumericFailure, PathError, SampledPath, dyadic_prefix, dyadic_steps
 from .reports import CheckReport, ResidualReport, residual_ladder
 from .yde import BlowUpError, SolveConfig, _einsum, _euler_fixed, _euler_sweep
 
@@ -31,11 +31,11 @@ _FOLD_BLOCK_BYTES = 8 * 2**20  # caps rows per block (A, B, C, jac) and per Newt
 _RESIDUAL_CHUNK_ROWS = 256  # grid rows per chunk of the residual ladder's integrand
 
 
-class CausticError(RuntimeError):
+class CausticError(NumericFailure, RuntimeError):
     """Evaluation requested at or beyond the first characteristic fold."""
 
 
-class InversionError(RuntimeError):
+class InversionError(NumericFailure, RuntimeError):
     """Batched Newton on the characteristic map failed to converge."""
 
 
@@ -473,12 +473,13 @@ def assemble_solution_field(stream: CharStream, points, times=None,
     memory plus the outputs.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    want = None if times is None else [stream.index_of(float(t)) for t in times]
     times = np.asarray(stream.times if times is None else times, dtype=float)
     k, d, s = pts.shape[0], stream.box.dim, 0
     u, du = np.empty((times.size, k)), np.empty((times.size, k, d))
     valid = np.empty((times.size, k), dtype=bool)
     part = max(1, _FOLD_BLOCK_BYTES // (max(k, 1) * 16 * 2**d * d * d))  # rows per Newton call
-    for blk, rows in stream.blocks(stream.index_of(float(t)) for t in times):
+    for blk, rows in stream.blocks(want):
         for sub in np.split(rows, range(part, rows.size, part)):
             x, loc, ok, pre, inside = _invert_batch(stream, blk, sub, pts, newton_tol, max_iter)
             e = s + sub.size

@@ -10,7 +10,7 @@ from .fields import FieldSpec, PointMap, ScalarObservable, as_single_field
 from .integrate import indefinite_integral
 from .paths import PathError, SampledPath
 from .reports import CheckReport, ResidualReport, make_check_report, residual_ladder
-from .yde import SolveConfig, _check_compat, _euler_core, _raise_blow_up, solve_yde
+from .yde import SolveConfig, _euler_core, _raise_blow_up, solve_yde
 
 # Algebraic identities are held to a tighter tolerance when all
 # derivatives involved are analytic rather than finite-differenced.
@@ -118,7 +118,6 @@ def check_symmetry_trajectory(Phi: PointMap, fields, X: SampledPath, y0,
         # Y(y0) and Y(Phi(y0)) as the two rows of one sweep; the kernel is
         # row-wise, so each row is its own solve_yde bit for bit, and Phi
         # maps row 0 as one contiguous array, as it mapped solve_yde's values
-        _check_compat(f, Xk)
         (states,), alive_idx = _euler_core(f, Xk, np.stack([y0, Phi.value_at(y0)]), cfg,
                                            with_jacobian=False)
         _raise_blow_up(Xk, alive_idx, Xk.n_points)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldSpec
-from .paths import PathError, SampledPath
+from .paths import NumericFailure, PathError, SampledPath
 
 # np.einsum without optimize calls this contraction behind a dispatch
 # layer that costs more than the contraction on the few rows of an Euler
@@ -19,7 +19,7 @@ except ImportError:  # a numpy without that module: the public function
     _einsum = np.einsum
 
 
-class BlowUpError(ArithmeticError):
+class BlowUpError(NumericFailure):
     """State left the finite range; carries the last valid time."""
 
     def __init__(self, last_valid_time: float):
@@ -27,7 +27,7 @@ class BlowUpError(ArithmeticError):
         self.last_valid_time = last_valid_time
 
 
-class NewtonError(RuntimeError):
+class NewtonError(NumericFailure, RuntimeError):
     """Newton iteration failed to meet its residual tolerance."""
 
     def __init__(self, message: str, best_residual: float):
@@ -100,8 +100,10 @@ def _euler_sweep(field: FieldSpec, X: SampledPath, y0s: np.ndarray, cfg: SolveCo
     Yields [y] (m, d) or [y, jac] (m, d, d) per grid point, never written
     again. Rows that turn non-finite are frozen by _freeze_rows and
     recorded in alive_idx (m,), which must hold n - 1 on entry. Overflow
-    is expected: the caller advances the sweep under np.errstate.
+    is expected: the caller advances the sweep under np.errstate. The
+    field and X are checked to fit when the first row is asked for.
     """
+    _check_compat(field, X)
     ts, dx = substep_grid(X, cfg.substeps_per_interval, n)
     value_at, jacobian_at = field.value_at, field.jacobian_at
     y = np.array(np.atleast_2d(y0s), dtype=float)
@@ -159,7 +161,6 @@ def _euler_core(field: FieldSpec, X: SampledPath, y0s: np.ndarray, cfg: SolveCon
 def solve_yde(field: FieldSpec, X: SampledPath, y0, cfg: SolveConfig | None = None) -> SampledPath:
     """Solve dY = f(Y) dX from y0; raises BlowUpError on non-finite state."""
     cfg = cfg or SolveConfig()
-    _check_compat(field, X)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     (states,), alive_idx = _euler_core(field, X, y0[None, :], cfg, with_jacobian=False)
     _raise_blow_up(X, alive_idx, X.n_points)
@@ -202,7 +203,6 @@ class FlowMap:
 def solve_flow(field: FieldSpec, X: SampledPath, initial_points, cfg: SolveConfig | None = None,
                jacobian_history: bool = True) -> FlowMap:
     cfg = cfg or SolveConfig()
-    _check_compat(field, X)
     pts = np.atleast_2d(np.asarray(initial_points, dtype=float))
     # the Jacobian is computed either way: a row dies where it turns non-finite
     (states, jacs), alive_idx = _euler_core(field, X, pts, cfg, with_jacobian=True,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from youngflow import (
+    DimensionMismatch,
     FbmSpec,
     PathError,
     SampledPath,
@@ -156,6 +157,14 @@ def test_substitution_rejects_vector_integrands():
     Z = SampledPath(times, times)
     with pytest.raises(PathError):
         substitution_residual(vec, vec, Z)
+
+
+def test_substitution_rejects_operators_that_do_not_compose():
+    times = np.linspace(0.0, 1.0, 17)
+    g = SampledPath(times, np.ones((17, 1, 3)))
+    f = SampledPath(times, np.ones((17, 2, 1)))
+    with pytest.raises(DimensionMismatch, match=r"g of shape \(1, 3\) .* f of shape \(2, 1\)"):
+        substitution_residual(g, f, SampledPath(times, times))
 
 
 def test_ito_premise_matches_full_grid_reference():

@@ -1,8 +1,10 @@
 """End-to-end command-line runs, in process via main(argv)."""
 
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -13,8 +15,8 @@ import pytest
 import youngflow
 import youngflow.cli as cli
 from youngflow.cli import main
-from youngflow.io import (jsonable_times, load_schema, read_path_csv, read_solution_slice,
-                         write_path_csv)
+from youngflow.io import (SchemaError, jsonable_times, load_schema, read_path_csv,
+                         read_solution_slice, write_path_csv)
 from youngflow.paths import p_variation_norm
 
 
@@ -477,6 +479,30 @@ def test_missing_required_flag_exits_two(capsys, lin17_csv):
     assert err.value.code == 2
 
 
+# Paths on LIN's grid whose shapes do not fit: X2 is 2-d, G13 holds 1x3
+# and F21 2x1 matrices. Compose's inner driver is checked by the sweep.
+@pytest.mark.parametrize("argv, line", [
+    (["compose", "--outer-field", "scaling", "--outer-driver", "LIN", "--inner-field",
+      "scaling", "--inner-driver", "X2", "--dim", "1", "--y0", "1", "--levels", "1",
+      "-o", "OUT"], "error: field expects a 1-dim driver, path has dim 2\n"),
+    (["check", "substitution", "--g-path", "G13", "--f-path", "F21", "--driver", "LIN",
+      "-o", "OUT"],
+     "error: substitution check: g of shape (1, 3) cannot act on f of shape (2, 1)\n"),
+], ids=["compose-inner-driver", "substitution-operators"])
+def test_shapes_that_do_not_fit_exit_two(capsys, workdir, lin17_csv, argv, line):
+    times = read_path_csv(lin17_csv).times
+    subs = {"LIN": lin17_csv, "OUT": str(workdir / "never_fit")}
+    for name, values in (("X2", np.column_stack([times, times**2])),
+                         ("G13", np.ones((times.size, 1, 3))),
+                         ("F21", np.ones((times.size, 2, 1)))):
+        subs[name] = str(workdir / f"{name}.csv")
+        write_path_csv(subs[name], youngflow.SampledPath(times, values))
+    rc = main([subs.get(a, a) for a in argv])
+    assert rc == 2
+    assert capsys.readouterr() == ("", line)
+    assert not os.path.exists(subs["OUT"])
+
+
 # ------------------------------------------------------ numeric errors (3)
 
 def test_blow_up_exits_three(capsys, workdir):
@@ -549,9 +575,10 @@ def test_check_infinitesimal_takes_substeps(capsys):
 
 
 # One fresh process per class that main maps to exit 2 or 3: there, only
-# the modules the subcommand runs are loaded. OverflowFailure and compose's
-# BlowUpError have the fresh-process tests above. np.linalg.LinAlgError
-# subclasses ValueError, yet a singular Newton step is a numeric failure.
+# the modules the subcommand runs are loaded. The handlers' own
+# NumericFailure on overflow and compose's BlowUpError have the
+# fresh-process tests above. np.linalg.LinAlgError subclasses ValueError,
+# yet a singular Newton step is a numeric failure.
 @pytest.mark.parametrize("argv, code, line", [
     (["solve", "--field", "nosuch", "--dim", "1", "--y0", "1", "--driver", "LIN", "-o", "OUT"],
      2, "error: unknown field 'nosuch'; known: exp, rotation, scaling, square\n"),
@@ -866,8 +893,8 @@ def test_exception_escaping_a_handler_exits_four_without_traceback(
 PUBLIC_NAMES = [
     "BlowUpError", "CausticError", "CharStream", "CheckReport", "DeterministicSpec",
     "DimensionMismatch", "FbmSpec", "FieldSpec", "FlowMap", "GenerationError", "GridBox",
-    "HamiltonianSpec", "IntegralResult", "InversionError", "NewtonError", "Partition",
-    "PathError", "PointMap", "ResidualReport", "ResourceError", "SampleDomain",
+    "HamiltonianSpec", "IntegralResult", "InversionError", "NewtonError", "NumericFailure",
+    "Partition", "PathError", "PointMap", "ResidualReport", "ResourceError", "SampleDomain",
     "SampledPath", "ScalarHamiltonian", "ScalarObservable", "SmoothMap", "SolveConfig",
     "TimeDependentMap", "VariationResult", "YoungConditionError", "as_single_field",
     "assemble_solution_field", "chain_rule_residual", "check_conserved_algebraic",
@@ -885,3 +912,32 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(youngflow.__all__) == PUBLIC_NAMES
+
+
+# The standard base of every error class of the package, kept from before
+# the classes took PathError or NumericFailure as their exit kind, so that
+# callers catching the standard base go on catching. A new error class is
+# added here, and to an exit kind.
+STANDARD_BASES = {
+    "paths.PathError": ValueError, "paths.NumericFailure": ArithmeticError,
+    "integrate.DimensionMismatch": ValueError, "integrate.YoungConditionError": ValueError,
+    "builtins.UnknownBuiltin": LookupError, "io.SchemaError": Exception,
+    "yde.BlowUpError": ArithmeticError, "yde.NewtonError": RuntimeError,
+    "drivers.GenerationError": RuntimeError, "drivers.ResourceError": RuntimeError,
+    "pde.CausticError": RuntimeError, "pde.InversionError": RuntimeError,
+}
+
+
+def test_every_error_class_has_an_exit_kind():
+    # PathError exits 2, NumericFailure 3 and SchemaError, a fault of the program, 4
+    found = {}
+    for info in pkgutil.iter_modules(youngflow.__path__):
+        mod = importlib.import_module(f"youngflow.{info.name}")
+        for name, obj in vars(mod).items():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == mod.__name__):
+                found[f"{info.name}.{name}"] = obj
+    assert sorted(found) == sorted(STANDARD_BASES)
+    for key, cls in found.items():
+        assert issubclass(cls, (youngflow.PathError, youngflow.NumericFailure, SchemaError)), key
+        assert issubclass(cls, STANDARD_BASES[key]), key

@@ -142,3 +142,7 @@ def test_grid_and_dimension_validation():
         compose_flows(get_field("rotation", dim=2), U, f, X2, 1.0)
     with pytest.raises(PathError):
         compose_flows(f, U, f, X2, 1.0, newton_max_iter=0)
+    # an inner driver of another dimension: every Euler sweep checks its driver
+    X2d = SampledPath([0.0, 0.5, 1.0], [[0.0, 0.0], [0.1, 0.3], [0.2, 0.5]])
+    with pytest.raises(PathError, match="field expects a 1-dim driver, path has dim 2"):
+        compose_flows(f, U, f, X2d, 1.0, levels=1)

@@ -16,7 +16,10 @@ with two substeps on a ramp that kills some of its rows, a `compose`
 with the nonlinear inner field `square`, which relaxes in more than one
 sweep, a `check symmetry --mode trajectory` on the ramp in which only the
 row from Phi(y0) blows up, and a `check infinitesimal` with the
-nonlinear generator `square`. The output files are compared with bench/run.py's
+nonlinear generator `square`; and eleven `errors_extra` calls that exit
+2 or 3: one per error class that the CLI maps to an exit code, and the
+overflow exits of `pvar`, `integrate` and `check infinitesimal`. The
+output files are compared with bench/run.py's
 `snapshot` (JSON up to `meta.created`, anything else byte for byte), and
 each call's exit code, standard output and standard error are compared
 with the tree's path masked. Prints one line per difference and exits 1
@@ -110,6 +113,47 @@ def yde_extra(seed: int, indir: Path) -> Workload:
     return Workload("yde_extra", calls, lambda out: [])
 
 
+def errors_extra(seed: int, indir: Path) -> Workload:
+    """Calls that fail with exit 2 or 3: an unknown builtin, the Young
+    condition, a blow-up, Newton, the size cap, a caustic and a singular
+    Newton step, then the overflow exits of pvar, integrate (with and
+    without a bound) and check infinitesimal. The seed is not used."""
+    lin, negline, lin3, step, ovf = (indir / f for f in (
+        "lin.csv", "negline.csv", "lin3.csv", "step.csv", "overflow.csv"))
+    times = np.linspace(0.0, 1.0, 17)
+    inputs.write_path(lin, times, times[:, None])
+    times = np.linspace(0.0, 1.5, 257)
+    inputs.write_path(negline, times, -times[:, None])
+    times = np.linspace(0.0, 1.0, 3)
+    inputs.write_path(lin3, times, times[:, None])
+    # the inner scaling flow's Jacobian is 1 - 1 = 0 after one step of -1
+    inputs.write_path(step, times, -2.0 * times[:, None])
+    # finite values whose increments overflow: ||dX||^2 and Z dX are inf
+    ovf.write_text("t,x1\n0,0\n1,1e200\n2,-1e200\n")
+    calls = (
+        ["solve", "--field", "nosuch", "--dim", "1", "--y0", "1", "--driver", str(lin),
+         "-o", "never.csv"],
+        ["integrate", "--integrand", str(lin), "--driver", str(lin), "--p", "2.5", "--q", "2.5"],
+        ["solve", "--field", "square", "--dim", "1", "--driver", str(lin), "--y0", "1e200",
+         "-o", "never.csv"],
+        ["compose", "--outer-field", "scaling", "--outer-driver", str(lin), "--inner-field",
+         "square", "--inner-driver", str(lin), "--dim", "1", "--y0", "0.3", "--levels", "1",
+         "--newton-tol", "1e-300"],
+        ["gen", "fbm", "--n", "101", "--seed", "1", "--max-points", "100", "-o", "never.csv"],
+        ["pde", "residual", "--hamiltonian", "burgers-half-p-squared", "--init",
+         "neg-half-square", "--driver", str(negline), "--box=-2:2:101", "--eval=-0.5:0.5:5",
+         "--levels", "3"],
+        ["compose", "--outer-field", "scaling", "--outer-driver", str(lin3), "--inner-field",
+         "scaling", "--inner-driver", str(step), "--dim", "1", "--y0", "1", "--levels", "1"],
+        ["pvar", "--p", "1.5", "--path", str(ovf)],
+        ["integrate", "--integrand", str(ovf), "--driver", str(ovf), "--p", "1.5", "--q", "1.5"],
+        ["integrate", "--integrand", str(ovf), "--driver", str(ovf)],
+        ["check", "infinitesimal", "--generator", "square", "--field", "scaling", "--dim", "2",
+         "--domain=0.5:2"],
+    )
+    return Workload("errors_extra", calls, lambda out: [])
+
+
 def run_calls(tree: Path, calls, outdir: Path) -> list:
     """(exit code, stdout, stderr) of each call, the tree's path masked."""
     outdir.mkdir(parents=True)
@@ -191,7 +235,8 @@ def main(argv=None) -> int:
         trees[side] = args.workdir / sha[:12]
         if not (trees[side] / "src").exists():
             extract(sha, trees[side])
-    builders = {**WORKLOADS, "pde_extra": pde_extra, "yde_extra": yde_extra}
+    builders = {**WORKLOADS, "pde_extra": pde_extra, "yde_extra": yde_extra,
+                "errors_extra": errors_extra}
     runs = Path(tempfile.mkdtemp(prefix="same-bytes-", dir=args.workdir))
     problems = []
     for seed in args.seeds:
