@@ -18,9 +18,75 @@ ALGEBRAIC_TOL_ANALYTIC = 1e-8
 ALGEBRAIC_TOL_FD = 1e-4
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): its hash and mix
+# constants, on 32-bit words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64 (O'Neill 2014): the 128-bit LCG multiplier of the setseq-128 stream
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _seed_state(seed: int) -> list:
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64) for an int seed >= 0."""
+    words = [seed & _M32]  # little-endian 32-bit words, at least one
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _M32)
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v ^= h
+        h = h * _MULT_A & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    h, out = _INIT_B, []
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * _MULT_B & _M32
+        v = v * h & _M32
+        out.append(v ^ v >> 16)
+    return [out[2 * k] | out[2 * k + 1] << 32 for k in range(4)]
+
+
+def _unit_draws(seed: int, n: int):
+    """The first n doubles in [0, 1) of np.random.default_rng(seed): PCG64
+    XSL-RR 128/64 seeded as numpy seeds it, each output u mapped to
+    (u >> 11) * 2^-53."""
+    s = _seed_state(seed)
+    inc = ((s[2] << 64 | s[3]) << 1 | 1) & _M128
+    state = ((inc + (s[0] << 64 | s[1])) * _PCG_MULT + inc) & _M128  # two steps from 0
+    mult, m64, m128 = _PCG_MULT, _M64, _M128
+    for _ in range(n):
+        state = (state * mult + inc) & m128
+        # u = x rotated right by the top 6 bits of state, x = hi ^ lo: the low
+        # 64 bits of (x:x) >> r; u >> 11 is then (x:x) >> (r + 11), 53 bits
+        x = ((state >> 64) ^ state) & m64
+        yield ((x * 0x10000000000000001) >> ((state >> 122) + 11) & 0x1FFFFFFFFFFFFF) * 2.0**-53
+
+
 @dataclass(frozen=True)
 class SampleDomain:
-    """Axis-aligned box sampled uniformly at random from a fixed seed."""
+    """Axis-aligned box sampled uniformly at random from a fixed seed.
+
+    The points are np.random.default_rng(seed).uniform(lower, upper,
+    (count, d)) bit for bit, drawn by a pure-Python PCG64 so that no check
+    loads numpy.random: one step of a Python loop per coordinate.
+    """
 
     lower: tuple
     upper: tuple
@@ -32,8 +98,17 @@ class SampleDomain:
         hi = np.asarray(self.upper, dtype=float)
         if lo.shape != hi.shape or np.any(hi <= lo):
             raise PathError("sample domain needs lower < upper per axis")
-        rng = np.random.default_rng(int(self.seed))
-        return rng.uniform(lo, hi, size=(self.count, lo.size))
+        with np.errstate(over="ignore"):
+            width = hi - lo
+        if not np.all(np.isfinite(width)):
+            raise PathError("sample domain needs a finite width upper - lower per axis")
+        seed, count, d = int(self.seed), int(self.count), lo.size
+        if seed < 0:
+            raise PathError(f"sample domain seed must be a non-negative integer, got {seed}")
+        if count < 0:
+            raise PathError(f"sample domain count must be non-negative, got {count}")
+        u = np.fromiter(_unit_draws(seed, count * d), dtype=float, count=count * d)
+        return lo + width * u.reshape(count, d)
 
 
 def _auto_tol(analytic: bool, tol: float | None) -> float:
@@ -98,8 +173,11 @@ def propagate_observable(F: ScalarObservable, fields, X: SampledPath, y0,
 def check_symmetry_map(Phi: PointMap, fields, dom: SampleDomain,
                        tol: float | None = None) -> CheckReport:
     """max over samples of || f(Phi(y)) - DPhi(y) f(y) ||."""
-    f = as_single_field(fields)
-    pts = dom.points()
+    return _symmetry_map_report(Phi, as_single_field(fields), dom.points(), tol)
+
+
+def _symmetry_map_report(Phi: PointMap, f: FieldSpec, pts: np.ndarray,
+                         tol: float | None) -> CheckReport:
     lhs = f.value_at(0.0, Phi.value_at(pts))  # (m, d, n)
     rhs = np.einsum("mde,men->mdn", Phi.jacobian_at(pts), f.value_at(0.0, pts))
     norms = np.linalg.norm((lhs - rhs).reshape(pts.shape[0], -1), axis=1)
@@ -191,7 +269,7 @@ def check_infinitesimal_symmetry(g: FieldSpec, fields, dom: SampleDomain,
     dyn_max = 0.0
     for s in flow_times:
         phi = _numeric_flow(g, float(s), flow_steps_per_unit, cfg)
-        rep = check_symmetry_map(phi, f, dom, tol=flow_tol)
+        rep = _symmetry_map_report(phi, f, pts, flow_tol)
         flow_results[str(s)] = rep.to_dict()
         dyn_pass &= rep.passed
         dyn_max = max(dyn_max, rep.max_residual)

@@ -88,10 +88,11 @@ def _src_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def _loaded_after(code: str) -> list:
-    """The youngflow modules, and the heavy ones, loaded after code runs."""
+def _loaded_after(code: str, watch=()) -> list:
+    """The youngflow modules, and the heavy ones and those in watch, loaded
+    after code runs."""
     heavy = ["scipy", "concurrent.futures", "jsonschema", "referencing",
-             "importlib.metadata"]
+             "importlib.metadata", *watch]
     code += ("\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'youngflow'"
              f" or m in {heavy!r}))")
     res = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=_src_env(),
@@ -132,6 +133,22 @@ def test_subcommand_loads_only_its_layers(workdir, lin17_csv, argv, layers):
     assert _loaded_after(code) == sorted(
         ["youngflow", "youngflow.cli", "youngflow.io", "youngflow.paths"]
         + [f"youngflow.{name}" for name in layers])
+
+
+# Sample domains draw numpy's PCG64 stream without numpy.random; gen fbm
+# still loads it, which shows the probe sees the module when it is there.
+@pytest.mark.parametrize("argv, loaded", [
+    (["check", "infinitesimal", "--generator", "rotation", "--field", "scaling", "--dim", "2"],
+     False),
+    (["check", "conserved", "--field", "rotation", "--dim", "2"], False),
+    (["check", "symmetry", "--map", "rotation", "--field", "rotation", "--dim", "2"], False),
+    (["gen", "fbm", "--n", "65", "--seed", "1", "-o", "OUT.csv"], True),
+], ids=["infinitesimal", "conserved", "symmetry", "gen-fbm"])
+def test_only_gen_fbm_loads_numpy_random(workdir, argv, loaded):
+    argv = [str(workdir / "rng_") + a if a.startswith("OUT") else a for a in argv]
+    code = ("import contextlib, io\nfrom youngflow.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0")
+    assert ("numpy.random" in _loaded_after(code, watch=["numpy.random"])) == loaded
 
 
 def test_gen_meta_sidecar(capsys, workdir):
@@ -549,7 +566,12 @@ def test_compose_overflow_prints_only_the_failure_line(workdir):
     # finite ends whose difference overflows
     (["flow", "--field", "scaling", "--dim", "2", "--driver", "LIN",
       "--grid=-1e308:1e308:3;0:1:2", "-o", "OUT"], 2, "error: --grid: "),
-], ids=["infinitesimal", "grid"])
+    (["check", "conserved", "--field", "rotation", "--dim", "2", "--domain=-1e308:1e308",
+      "-o", "OUT"], 2, "error: sample domain needs a finite width upper - lower per axis\n"),
+    (["check", "infinitesimal", "--generator", "rotation", "--field", "scaling", "--dim", "2",
+      "--domain=-1e308:1e308", "-o", "OUT"],
+     2, "error: sample domain needs a finite width upper - lower per axis\n"),
+], ids=["infinitesimal", "grid", "conserved-domain", "infinitesimal-domain"])
 def test_overflowing_input_exits_on_one_line_without_a_warning(workdir, lin17_csv, argv, code,
                                                                line):
     out = str(workdir / "never_overflow")
@@ -558,6 +580,16 @@ def test_overflowing_input_exits_on_one_line_without_a_warning(workdir, lin17_cs
                          env=_src_env(), capture_output=True, text=True)
     assert res.returncode == code and res.stdout == ""
     assert res.stderr.startswith(line) and res.stderr.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+def test_negative_domain_seed_exits_two_on_one_line(workdir):
+    out = str(workdir / "never_seed")
+    res = subprocess.run([sys.executable, "-m", "youngflow.cli", "check", "symmetry", "--map",
+                          "rotation", "--field", "rotation", "--dim", "2", "--domain-seed=-1",
+                          "-o", out], env=_src_env(), capture_output=True, text=True)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: sample domain seed must be a non-negative integer, got -1\n"
     assert not os.path.exists(out)
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from youngflow import (
     FbmSpec,
@@ -62,6 +63,56 @@ def test_sample_domain_determinism_and_validation():
     assert np.all(pts >= -1.0) and np.all(pts <= 1.0)
     with pytest.raises(PathError):
         SampleDomain(lower=(0.0,), upper=(0.0,)).points()
+
+
+@pytest.mark.parametrize("dom, message", [
+    (SampleDomain(lower=(-1e308, 0.0), upper=(1e308, 1.0)), "finite width"),
+    (SampleDomain(lower=(float("nan"),), upper=(1.0,)), "finite width"),
+    (SampleDomain(lower=(0.0,), upper=(1.0,), seed=-1), "seed must be a non-negative"),
+    (SampleDomain(lower=(0.0,), upper=(1.0,), count=-1), "count must be non-negative"),
+], ids=["overflowing-width", "nan", "negative-seed", "negative-count"])
+def test_sample_domain_refuses_what_it_cannot_sample(dom, message):
+    with np.errstate(all="raise"):  # refused before any arithmetic warns
+        with pytest.raises(PathError, match=message):
+            dom.points()
+
+
+def _same_as_numpy(seed, lower, upper, count):
+    ref = np.random.default_rng(seed).uniform(lower, upper, (count, len(lower)))
+    pts = SampleDomain(lower=tuple(lower), upper=tuple(upper), count=count, seed=seed).points()
+    assert pts.shape == ref.shape
+    assert np.array_equal(pts.view(np.uint64), ref.view(np.uint64))
+
+
+def _axis(lo, width):
+    return lo, lo + width
+
+
+# Boxes with lo < hi and a finite width: any two distinct floats up to
+# 1e300 apart, widths of 1e-300 near the origin, and widths of 1e300.
+AXES = st.one_of(
+    st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
+    .filter(lambda ends: ends[0] != ends[1]).map(sorted),
+    st.builds(_axis, st.floats(-1e-290, 1e-290), st.just(1e-300)),
+    st.builds(_axis, st.floats(-1e299, 1e299), st.just(1e300)),
+)
+
+
+# numpy documents its bit generators' streams as stable, but not the
+# method of Generator.uniform: this is the guard on a new numpy.
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**256), st.lists(AXES, min_size=1, max_size=4), st.integers(1, 300))
+@example(0, [(-1.0, 1.0)], 1)
+@example(2**32, [(0.0, 1e-300), (-5e299, 5e299), (-1.0, 1.0)], 300)
+def test_sample_points_are_numpys_uniform_bitwise(seed, axes, count):
+    lower, upper = zip(*axes)
+    _same_as_numpy(seed, lower, upper, count)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 9])
+def test_sample_points_match_numpy_at_word_boundary_seeds(seed):
+    # one, two, three and seven 32-bit words of entropy
+    _same_as_numpy(seed, (-1.0, 0.0, 3.0), (1.0, 1e-300, 1e300), 300)
 
 
 def test_norm_conserved_by_rotation_algebraically():

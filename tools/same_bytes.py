@@ -16,9 +16,13 @@ with two substeps on a ramp that kills some of its rows, a `compose`
 with the nonlinear inner field `square`, which relaxes in more than one
 sweep, a `check symmetry --mode trajectory` on the ramp in which only the
 row from Phi(y0) blows up, and a `check infinitesimal` with the
-nonlinear generator `square`; and eleven `errors_extra` calls that exit
-2 or 3: one per error class that the CLI maps to an exit code, and the
-overflow exits of `pvar`, `integrate` and `check infinitesimal`. The
+nonlinear generator `square`; eight `domain_extra` calls, algebraic
+`check conserved` and `check symmetry` on 1000 sample points with the
+domain seeds 12345 and 2^70 + 1, each in 1 and 3 dimensions; and twelve
+`errors_extra` calls that exit 2 or 3: one per error class that the CLI
+maps to an exit code, the overflow exits of `pvar`, `integrate` and
+`check infinitesimal`, and a `check conserved` whose `--domain` width
+overflows. The
 output files are compared with bench/run.py's
 `snapshot` (JSON up to `meta.created`, anything else byte for byte), and
 each call's exit code, standard output and standard error are compared
@@ -113,11 +117,30 @@ def yde_extra(seed: int, indir: Path) -> Workload:
     return Workload("yde_extra", calls, lambda out: [])
 
 
+def domain_extra(seed: int, indir: Path) -> Workload:
+    """Algebraic conserved and symmetry checks on 1000 sample points, with
+    domain seeds of one and three 32-bit words, in 1 and 3 dimensions. The
+    seed is not used."""
+    calls = []
+    for domain_seed in (12345, 2**70 + 1):
+        for dim in ("1", "3"):
+            tag = f"{domain_seed}_{dim}d"
+            calls += [
+                ["check", "conserved", "--field", "scaling", "--dim", dim, "--samples", "1000",
+                 f"--domain-seed={domain_seed}", "-o", f"conserved_{tag}.json"],
+                ["check", "symmetry", "--map", "scaling", "--map-params", "factor=1.5",
+                 "--field", "square", "--dim", dim, "--samples", "1000",
+                 f"--domain-seed={domain_seed}", "--domain=-2:0.5", "-o", f"symmetry_{tag}.json"],
+            ]
+    return Workload("domain_extra", tuple(calls), lambda out: [])
+
+
 def errors_extra(seed: int, indir: Path) -> Workload:
     """Calls that fail with exit 2 or 3: an unknown builtin, the Young
     condition, a blow-up, Newton, the size cap, a caustic and a singular
     Newton step, then the overflow exits of pvar, integrate (with and
-    without a bound) and check infinitesimal. The seed is not used."""
+    without a bound) and check infinitesimal, and a check conserved whose
+    domain width overflows. The seed is not used."""
     lin, negline, lin3, step, ovf = (indir / f for f in (
         "lin.csv", "negline.csv", "lin3.csv", "step.csv", "overflow.csv"))
     times = np.linspace(0.0, 1.0, 17)
@@ -150,6 +173,7 @@ def errors_extra(seed: int, indir: Path) -> Workload:
         ["integrate", "--integrand", str(ovf), "--driver", str(ovf)],
         ["check", "infinitesimal", "--generator", "square", "--field", "scaling", "--dim", "2",
          "--domain=0.5:2"],
+        ["check", "conserved", "--field", "rotation", "--dim", "2", "--domain=-1e308:1e308"],
     )
     return Workload("errors_extra", calls, lambda out: [])
 
@@ -236,7 +260,7 @@ def main(argv=None) -> int:
         if not (trees[side] / "src").exists():
             extract(sha, trees[side])
     builders = {**WORKLOADS, "pde_extra": pde_extra, "yde_extra": yde_extra,
-                "errors_extra": errors_extra}
+                "domain_extra": domain_extra, "errors_extra": errors_extra}
     runs = Path(tempfile.mkdtemp(prefix="same-bytes-", dir=args.workdir))
     problems = []
     for seed in args.seeds:
